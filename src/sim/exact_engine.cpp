@@ -469,10 +469,18 @@ struct GtaKernel {
 
 /// GTW stage kernel: one task per (n, f, c) kernel slice, OH·K OSRC ops
 /// (zero dO rows schedule nothing).
+///
+/// An op's MAC count is, per dO nonzero, the number of I nonzeros in a
+/// K-wide window of one input row — and every input row (n, c, iy) pairs
+/// with all F output channels. run_gtw therefore lowers each input row
+/// once per stage into a prefix-count row (`in_prefix`, in.w + 1 entries
+/// per row) and each op costs O(nnz_dO) table loads instead of a sweep
+/// over both rows; the PeCost sequence is identical.
 struct GtwKernel {
   static constexpr const char* kStage = "gtw";
   const CompressedRows& go_rows;
   const CompressedRows& in_rows;
+  const std::uint16_t* in_prefix;
   const dataflow::ConvGeometry& geo;
   Shape out;
   Shape in;
@@ -493,13 +501,14 @@ struct GtwKernel {
       if (go.empty()) continue;  // zero dO row: nothing scheduled
       // The dO chunk count depends only on this oy's row — reuse it for
       // every kernel tap the row pairs with.
-      const std::size_t chunks = (go.nnz() + geo.kernel - 1) / geo.kernel;
+      const std::size_t chunks = PeExact::osrc_chunks(go, b);
       // Valid taps are one contiguous ky range (see valid_ky_range); the
       // op order per oy — ky ascending — is the same as the per-tap test.
       const auto [ky_lo, ky_hi, iy0] = valid_ky_range(oy, geo, in.h);
-      for (std::size_t ky = ky_lo; ky < ky_hi; ++ky) {
-        red.add(pe.run_osrc(in_rows.row(in_base + iy0 + (ky - ky_lo)), go, b,
-                            wl, chunks));
+      const std::size_t r0 = in_base + iy0;
+      for (std::size_t r = r0; r < r0 + (ky_hi - ky_lo); ++r) {
+        red.add(pe.run_osrc(in_prefix + r * (in.w + 1), in_rows.row(r).nnz(),
+                            go, b, wl, chunks));
       }
     }
     return red.end_task();
@@ -619,9 +628,23 @@ ExactStageResult ExactEngine::run_gtw(const RowSet& go_rows,
              ? 1
              : go_rows.nonempty_rows() * out.h * geo.kernel /
                    go_rows.rows());
-  const GtwKernel kernel{go_rows, in_rows, geo,      out,
-                         in,      b,       pe_,      pe_.weight_load(b),
-                         geo.kernel};
+
+  // Lower every input row into its prefix-count row (see GtwKernel). As
+  // with forward's cost table, the lease outlives run_tasks and the
+  // pooled buffer keeps steady-state stages allocation-free.
+  ST_REQUIRE(in_rows.rows() == 0 || in_rows.row_length() == in.w,
+             "GTW input rows must have length in.w");
+  ArenaLease lease = acquire_arena();
+  std::vector<std::uint16_t>& prefix = lease.arena->osrc_prefix;
+  const std::size_t stride = in.w + 1;
+  prefix.resize(in_rows.rows() * stride);
+  for (std::size_t r = 0; r < in_rows.rows(); ++r) {
+    dataflow::osrc_count_prefix(in_rows.row(r), prefix.data() + r * stride);
+  }
+
+  const GtwKernel kernel{go_rows, in_rows, prefix.data(), geo,
+                         out,     in,      b,             pe_,
+                         pe_.weight_load(b), geo.kernel};
   return run_tasks(task_count, est_ops, kernel);
 }
 

@@ -172,6 +172,7 @@ class ExactEngine {
     std::vector<std::size_t> loads;        ///< per-group schedule load
     std::vector<std::uint32_t> heap;       ///< d-ary heap of group ids
     std::vector<PeCost> src_costs;         ///< forward: per-input-row cost
+    std::vector<std::uint16_t> osrc_prefix;  ///< GTW: per-input-row counts
   };
 
   /// RAII lease of one arena from the engine's pool.

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 
 #include "dataflow/row_ops.hpp"
 #include "isa/instruction.hpp"
@@ -116,34 +117,51 @@ class PeExact {
   }
 
   /// OSRC: dO nonzeros are cached in Reg-1 in chunks of K; every I nonzero
-  /// is streamed once per chunk.
+  /// is streamed once per chunk. Counts by sweeping both rows — the
+  /// reference the GTW stage's prefix overload below must match.
   PeCost run_osrc(SparseRowView input_acts, SparseRowView grad_out,
                   const isa::RowBlock& geo) const {
-    const std::size_t chunks =
-        grad_out.nnz() == 0
-            ? 0
-            : (grad_out.nnz() + geo.kernel - 1) / geo.kernel;
-    return run_osrc(input_acts, grad_out, geo, weight_load(geo), chunks);
-  }
-
-  /// OSRC with the weight load and the dO chunk count precomputed: the
-  /// chunk count depends only on grad_out, so the GTW kernel reuses it
-  /// across every kernel tap the same dO row pairs with.
-  PeCost run_osrc(SparseRowView input_acts, SparseRowView grad_out,
-                  const isa::RowBlock& geo, std::size_t wl,
-                  std::size_t chunks) const {
     const dataflow::RowOpWork w =
         dataflow::osrc_work(input_acts, grad_out, row_geometry(geo));
-    PeCost cost;
-    cost.macs = w.macs;
-    // dO nonzeros are cached K at a time in Reg-1; each chunk streams every
-    // I nonzero once past the scratchpad.
-    cost.ingested = chunks * input_acts.nnz();
-    cost.cycles = chunks * (wl + input_acts.nnz()) + timing_.pipeline_drain;
-    return cost;
+    return osrc_cost(w, input_acts.nnz(), osrc_chunks(grad_out, geo),
+                     weight_load(geo));
+  }
+
+  /// OSRC against a prefix-count I row (dataflow::osrc_count_prefix over
+  /// an I row of length geo.second_len holding `input_nnz` nonzeros), with
+  /// the weight load and the dO chunk count precomputed. The GTW stage
+  /// builds the prefix rows once per stage and reuses the chunk count
+  /// across every kernel tap the same dO row pairs with. Costs are
+  /// identical to the row-pair overload for the same I row.
+  PeCost run_osrc(const std::uint16_t* input_prefix, std::size_t input_nnz,
+                  SparseRowView grad_out, const isa::RowBlock& geo,
+                  std::size_t wl, std::size_t chunks) const {
+    const dataflow::RowOpWork w = dataflow::osrc_work(
+        input_prefix, geo.second_len, grad_out, row_geometry(geo));
+    return osrc_cost(w, input_nnz, chunks, wl);
+  }
+
+  /// Reg-1 chunk reloads of an OSRC op: ceil(nnz_dO / K), 0 for an
+  /// empty dO row.
+  static std::size_t osrc_chunks(SparseRowView grad_out,
+                                 const isa::RowBlock& geo) {
+    return grad_out.empty() ? 0
+                            : (grad_out.nnz() + geo.kernel - 1) / geo.kernel;
   }
 
  private:
+  /// The one OSRC cost formula: each of the `chunks` dO chunks cached in
+  /// Reg-1 reloads the weights and streams every I nonzero once past the
+  /// scratchpad.
+  PeCost osrc_cost(const dataflow::RowOpWork& w, std::size_t input_nnz,
+                   std::size_t chunks, std::size_t wl) const {
+    PeCost cost;
+    cost.macs = w.macs;
+    cost.ingested = chunks * input_nnz;
+    cost.cycles = chunks * (wl + input_nnz) + timing_.pipeline_drain;
+    return cost;
+  }
+
   static dataflow::RowGeometry row_geometry(const isa::RowBlock& block) {
     dataflow::RowGeometry geo;
     geo.kernel = block.kernel;

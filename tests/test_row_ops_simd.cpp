@@ -1,5 +1,6 @@
 // SIMD/scalar equivalence and edge-case coverage for the row-op work
-// counters and the BitMask window primitives.
+// counters, their prefix-table fast paths, and the BitMask window
+// primitives.
 //
 // Three layers of defense, all within one binary (the scalar references
 // are always compiled, whatever kernel path the build selected):
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "dataflow/row_ops.hpp"
+#include "sim/pe_model.hpp"
 #include "tensor/bit_mask.hpp"
 #include "util/rng.hpp"
 
@@ -247,6 +249,86 @@ TEST(MsrcWork, PrefixOverloadMatchesBitMask) {
     const RowOpWork got = msrc_work(row, prefix.data(), geo, out_len);
     ASSERT_TRUE(works_equal(got, ref))
         << "K=" << K << " S=" << S << " P=" << P << " out_len=" << out_len;
+  }
+}
+
+/// osrc_count_prefix into a fresh buffer of input.length + 1 entries.
+std::vector<std::uint16_t> count_prefix(SparseRowView input) {
+  std::vector<std::uint16_t> prefix(std::size_t{input.length} + 1);
+  osrc_count_prefix(input, prefix.data());
+  return prefix;
+}
+
+bool costs_equal(const sim::PeCost& a, const sim::PeCost& b) {
+  return a.cycles == b.cycles && a.macs == b.macs && a.ingested == b.ingested;
+}
+
+TEST(OsrcWork, PrefixOverloadMatchesSweep) {
+  // The GTW stage's prefix-count fast path must count exactly what the
+  // two-pointer sweep counts — as a work counter and as a PeCost — for
+  // empty and dense rows and for windows clamped at either end of I.
+  Rng rng(0x05c7U);
+  const sim::PeExact pe;
+  const double densities[] = {0.0, 0.05, 0.3, 0.7, 1.0};
+  std::size_t cases = 0;
+  for (const std::uint32_t K : {1u, 3u, 5u, 11u}) {
+    for (std::uint32_t S = 1; S <= 4; ++S) {
+      for (std::uint32_t P = 0; P <= K; ++P) {
+        for (int iter = 0; iter < 12; ++iter) {
+          const auto in_len =
+              static_cast<std::uint32_t>(1 + rng.uniform_index(120));
+          const auto go_len =
+              static_cast<std::uint32_t>(1 + rng.uniform_index(60));
+          const SparseRow input =
+              random_row(rng, in_len, densities[rng.uniform_index(5)]);
+          const SparseRow grad =
+              random_row(rng, go_len, densities[rng.uniform_index(5)]);
+          const RowGeometry geo{K, S, P};
+          const std::vector<std::uint16_t> prefix = count_prefix(input);
+          ASSERT_TRUE(works_equal(osrc_work(prefix.data(), in_len, grad, geo),
+                                  osrc_work_scalar(input, grad, geo)))
+              << "K=" << K << " S=" << S << " P=" << P << " in=" << in_len
+              << " go=" << go_len;
+
+          isa::RowBlock b;
+          b.kind = isa::RowOpKind::OSRC;
+          b.kernel = K;
+          b.stride = S;
+          b.padding = P;
+          b.second_len = in_len;
+          ASSERT_TRUE(costs_equal(
+              pe.run_osrc(prefix.data(), input.nnz(), grad, b,
+                          pe.weight_load(b), sim::PeExact::osrc_chunks(grad, b)),
+              pe.run_osrc(input, grad, b)))
+              << "PeCost K=" << K << " S=" << S << " P=" << P;
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_GT(cases, 1000u);
+}
+
+TEST(OsrcWork, PrefixCountsAreExactPastTheU16Wrap) {
+  // Rows wider than 2^16 wrap the u16 prefix entries (a dense row's
+  // entry x is x mod 2^16); window differences must stay exact there —
+  // the engine's own stages never reach this width.
+  Rng rng(0x1e16U);
+  for (const double d : {1.0, 0.9, 0.5}) {
+    const std::uint32_t in_len = 70001;
+    const SparseRow input = random_row(rng, in_len, d);
+    const std::vector<std::uint16_t> prefix = count_prefix(input);
+    EXPECT_EQ(prefix[in_len], static_cast<std::uint16_t>(input.nnz()));
+    for (const std::uint32_t K : {3u, 11u}) {
+      for (const std::uint32_t S : {1u, 2u}) {
+        const RowGeometry geo{K, S, K / 2};
+        const SparseRow grad = random_row(rng, in_len / S + 1, 0.2);
+        const RowOpWork got = osrc_work(prefix.data(), in_len, grad, geo);
+        ASSERT_TRUE(works_equal(got, osrc_work_scalar(input, grad, geo)))
+            << "d=" << d << " K=" << K << " S=" << S;
+        EXPECT_GT(got.macs, 0u);
+      }
+    }
   }
 }
 

@@ -505,7 +505,7 @@ TEST(Router, ServesTheWireProtocolOverAListener) {
 // Protocol additions the router rides on.
 
 TEST(RouterProtocol, HexCodecRoundTripsAndRejectsGarbage) {
-  const std::string bytes = std::string("\x00\x7f\xff\x10az", 6);
+  const std::string bytes = std::string("\x00\x7f\xff\x10" "az", 6);
   EXPECT_EQ(serve::hex_decode(serve::hex_encode(bytes)), bytes);
   EXPECT_EQ(serve::hex_encode(""), "");
   EXPECT_THROW(serve::hex_decode("abc"), ContractError);   // odd length
