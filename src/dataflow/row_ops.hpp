@@ -6,6 +6,9 @@
 //        row, accumulated into one dense output row.
 //   MSRC (GTA): one sparse dO row scattered through a rotated kernel row
 //        into a dI row, skipping positions the forward ReLU mask zeroes.
+//        Its references query a BitMask per dO nonzero; the engine's
+//        counter ANDs a bit-packed dO row with per-task window-count
+//        planes, a few popcounts per 64 positions.
 //   OSRC (GTW): two sparse rows (I and dO) correlated into a K-length dW
 //        row that lives in a scratchpad for the whole row pair. Its
 //        functional reference and row-pair counter sweep both rows with
@@ -29,6 +32,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -272,38 +276,81 @@ inline RowOpWork msrc_work(SparseRowView input, const BitMask& mask,
 RowOpWork msrc_work(SparseRowView input, const MaskRow& mask,
                     const RowGeometry& geo, std::size_t out_len);
 
-/// Work of an MSRC op against a prefix-popcount mask: `mask_prefix` has
-/// out_len + 1 entries with mask_prefix[i] = number of allowed outputs
-/// before position i, so every window query is two loads and a subtract
-/// instead of a word-funnel popcount. The GTA stage amortises one O(W)
-/// prefix build per task over its F·K row ops. Counts are identical to
-/// the BitMask overloads for the mask the prefix was built from (the
-/// equivalence suite pins this).
-inline RowOpWork msrc_work(SparseRowView input,
-                           const std::uint32_t* mask_prefix,
-                           const RowGeometry& geo, std::size_t out_len) {
-  RowOpWork w;
+/// u64 words of a bit row covering `bits` positions.
+constexpr std::size_t bit_words(std::size_t bits) { return (bits + 63) / 64; }
+
+/// Packs a sparse row's nonzero positions into a bitset of
+/// bit_words(row.length) words: bit p of word p / 64 is set iff offset p
+/// is stored. The GTA stage packs every dO row once per stage.
+inline void pack_row_bits(SparseRowView row, std::uint64_t* bits) {
+  std::fill_n(bits, bit_words(row.length), std::uint64_t{0});
+  for (const std::uint32_t p : row.offsets) {
+    bits[p >> 6] |= std::uint64_t{1} << (p & 63);
+  }
+}
+
+/// Planes per word of an MSRC window-count table: "count > 0" plus one
+/// plane per bit of a window count, which is at most K.
+constexpr std::size_t msrc_plane_count(std::uint32_t kernel) {
+  return 1 + static_cast<std::size_t>(std::bit_width(kernel));
+}
+
+/// Lowers an MSRC mask into window-count planes over the input (dO)
+/// positions p ∈ [0, in_len). count(p) is the number of allowed outputs
+/// in p's window [p·S − P, p·S − P + K) clamped to [0, out_len), read
+/// from `mask_prefix` (out_len + 1 entries, entry i = allowed outputs
+/// before position i). The table is word-major: for word w, planes[w·n]
+/// is A ("count > 0") and planes[w·n + 1 + b] is B_b (bit b of count),
+/// with n = msrc_plane_count(K) and bit_words(in_len) words per plane.
+/// The window geometry of a GTA task depends only on the task, so the
+/// stage builds one table per task and every op of the task reads it.
+inline void msrc_count_planes(const std::uint32_t* mask_prefix,
+                              std::size_t out_len, const RowGeometry& geo,
+                              std::size_t in_len, std::uint64_t* planes) {
+  const std::size_t n = msrc_plane_count(geo.kernel);
+  std::fill_n(planes, bit_words(in_len) * n, std::uint64_t{0});
   const std::int64_t S = geo.stride;
   const std::int64_t P = geo.padding;
   const std::int64_t K = geo.kernel;
   const auto len = static_cast<std::int64_t>(out_len);
-  for (std::size_t i = 0; i < input.nnz(); ++i) {
-    const std::int64_t win_lo =
-        static_cast<std::int64_t>(input.offsets[i]) * S - P;
-    const std::int64_t win_hi = win_lo + K;
-    std::size_t macs_here = 0;
-    if (win_hi > 0 && win_lo < len) {
-      const std::int64_t lo = win_lo < 0 ? 0 : win_lo;
-      const std::int64_t hi = win_hi < len ? win_hi : len;
-      macs_here = mask_prefix[hi] - mask_prefix[lo];
-    }
-    if (macs_here > 0) {
-      ++w.active_inputs;
-      w.macs += macs_here;
-    } else {
-      ++w.skipped_inputs;
+  for (std::size_t p = 0; p < in_len; ++p) {
+    const std::int64_t win_lo = static_cast<std::int64_t>(p) * S - P;
+    const std::int64_t lo = std::clamp<std::int64_t>(win_lo, 0, len);
+    const std::int64_t hi = std::clamp<std::int64_t>(win_lo + K, 0, len);
+    const std::uint64_t count = mask_prefix[hi] - mask_prefix[lo];
+    std::uint64_t* word = planes + (p >> 6) * n;
+    const unsigned bit = p & 63;
+    word[0] |= std::uint64_t{count != 0} << bit;
+    for (std::size_t b = 1; b < n; ++b) {
+      word[b] |= ((count >> (b - 1)) & 1) << bit;
     }
   }
+}
+
+/// Work of an MSRC op against window-count planes (msrc_count_planes) —
+/// the engine's entry point. `input_bits` is the dO row packed by
+/// pack_row_bits, `words` = bit_words(row length). An op's MACs are the
+/// window counts summed over the row's nonzeros, so per word the active
+/// inputs are popcount(D & A) and the MACs Σ_b popcount(D & B_b) << b: a
+/// few AND+POPCNT steps per 64 positions, whatever the row's density.
+/// Counts are identical to the BitMask overloads for the mask the planes
+/// were built from (the equivalence suite pins this).
+inline RowOpWork msrc_work(const std::uint64_t* input_bits,
+                           const std::uint64_t* planes, std::size_t words,
+                           std::uint32_t kernel) {
+  const std::size_t n = msrc_plane_count(kernel);
+  RowOpWork w;
+  std::size_t nnz = 0;
+  for (std::size_t i = 0; i < words; ++i, planes += n) {
+    const std::uint64_t d = input_bits[i];
+    nnz += static_cast<std::size_t>(std::popcount(d));
+    w.active_inputs += static_cast<std::size_t>(std::popcount(d & planes[0]));
+    for (std::size_t b = 1; b < n; ++b) {
+      w.macs += static_cast<std::size_t>(std::popcount(d & planes[b]))
+                << (b - 1);
+    }
+  }
+  w.skipped_inputs = nnz - w.active_inputs;
   return w;
 }
 

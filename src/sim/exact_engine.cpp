@@ -5,6 +5,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <exception>
+#include <numeric>
 
 #include "sim/profile_hook.hpp"
 #include "util/require.hpp"
@@ -55,6 +56,7 @@ isa::RowBlock block_from(const dataflow::ConvGeometry& geo,
 /// heap allocation at all (the zero-alloc contract of the hot path).
 struct TaskScratch {
   std::vector<std::uint32_t> mask_prefix;  ///< masked GTA: prefix popcount
+  std::vector<std::uint64_t> mask_planes;  ///< GTA: window-count planes
   std::vector<std::uint32_t> gta_oy;  ///< ky → source oy (kNoRow: padding)
 };
 
@@ -404,13 +406,17 @@ struct ForwardKernel {
 /// GTA stage kernel: one task per dI row (n, c, iy), F·K MSRC ops
 /// scattering into it.
 ///
-/// The task's mask is shared by all its ops, so it is lowered once per
-/// task into a prefix-popcount table (prefix[i] = allowed outputs before
-/// position i): each op's window queries become two loads and a subtract
-/// instead of a per-window word-funnel popcount, identical counts.
+/// An op's MACs are, per dO nonzero p, the allowed outputs in p's window
+/// of the task's mask row — a window geometry that depends only on the
+/// task. So each task lowers its mask prefix once into window-count
+/// planes over p (dataflow::msrc_count_planes), and every op ANDs its
+/// dO row's bitset (`go_bits`, packed once per stage by run_gta) with
+/// them: a few popcounts per op, identical counts. Unmasked stages run
+/// the same path from the shared all-pass prefix (prefix[i] = i).
 struct GtaKernel {
   static constexpr const char* kStage = "gta";
-  const CompressedRows& go_rows;
+  const std::uint64_t* go_bits;  ///< dO row r at go_bits + r · words
+  std::size_t words;             ///< bit_words(out.w)
   const dataflow::ConvGeometry& geo;
   Shape out;
   Shape in_shape;
@@ -439,6 +445,11 @@ struct GtaKernel {
       pre[dense.size()] = acc;
       prefix = pre.data();
     }
+    std::vector<std::uint64_t>& planes = scratch.mask_planes;
+    planes.resize(words * dataflow::msrc_plane_count(b.kernel));
+    dataflow::msrc_count_planes(prefix, in_shape.w,
+                                {b.kernel, b.stride, b.padding}, out.w,
+                                planes.data());
     // oy·S + ky − P = iy → every (oy, ky) pair writing this row. The
     // mapping depends only on iy, so resolve it once per task instead of
     // once per (f, ky).
@@ -459,8 +470,8 @@ struct GtaKernel {
     for (std::size_t f = 0; f < geo.out_channels; ++f) {
       for (std::size_t ky = 0; ky < geo.kernel; ++ky) {
         if (oy_of[ky] == kNoRow) continue;
-        red.add(pe.run_msrc(
-            go_rows.row((n * out.c + f) * out.h + oy_of[ky]), prefix, b, wl));
+        const std::size_t r = (n * out.c + f) * out.h + oy_of[ky];
+        red.add(pe.run_msrc(go_bits + r * words, planes.data(), b, wl));
       }
     }
     return red.end_task();
@@ -587,19 +598,35 @@ ExactStageResult ExactEngine::run_gta(const RowSet& go_rows,
   const isa::RowBlock b =
       block_from(geo, out.w, input_shape.w, isa::RowOpKind::MSRC);
 
-  // The all-pass prefix (prefix[i] = i) is one shared constant — every
-  // unmasked task reads it in place. Masked tasks lower their row's mask
-  // into per-thread scratch (see GtaKernel).
-  std::vector<std::uint32_t> all_pass(input_shape.w + 1);
-  for (std::size_t i = 0; i < all_pass.size(); ++i) {
-    all_pass[i] = static_cast<std::uint32_t>(i);
+  // Pack every dO row into its nonzero bitset and lay out the all-pass
+  // prefix (prefix[i] = i) that unmasked tasks read in place (see
+  // GtaKernel). As with GTW's prefix rows, the lease outlives run_tasks
+  // and the pooled buffers keep steady-state stages allocation-free.
+  ST_REQUIRE(go_rows.rows() == 0 || go_rows.row_length() == out.w,
+             "GTA dO rows must have length out.w");
+  ArenaLease lease = acquire_arena();
+  StageArena& arena = *lease.arena;
+  const std::size_t words = dataflow::bit_words(out.w);
+  arena.go_bits.resize(go_rows.rows() * words);
+  for (std::size_t r = 0; r < go_rows.rows(); ++r) {
+    dataflow::pack_row_bits(go_rows.row(r), arena.go_bits.data() + r * words);
   }
+  arena.all_pass_prefix.resize(input_shape.w + 1);
+  std::iota(arena.all_pass_prefix.begin(), arena.all_pass_prefix.end(),
+            std::uint32_t{0});
 
   const std::size_t task_count =
       out.n * geo.in_channels * input_shape.h;
-  const GtaKernel kernel{go_rows,     geo,       out,
-                         input_shape, b,         pe_,
-                         all_pass.data(), prev_mask, pe_.weight_load(b),
+  const GtaKernel kernel{arena.go_bits.data(),
+                         words,
+                         geo,
+                         out,
+                         input_shape,
+                         b,
+                         pe_,
+                         arena.all_pass_prefix.data(),
+                         prev_mask,
+                         pe_.weight_load(b),
                          geo.kernel};
   return run_tasks(task_count, geo.out_channels * geo.kernel, kernel);
 }

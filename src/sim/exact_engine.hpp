@@ -33,10 +33,11 @@
 //
 // The hot path is allocation-free in steady state: operand tensors live
 // in CompressedRows arenas, tasks read them through SparseRowView spans,
-// masks are word-packed BitMasks (the all-pass mask is one shared
-// constant per stage), each worker thread reuses a scratch buffer, and
-// the per-stage cycle spans + scheduler arrays live in a pooled arena
-// reused across stages (tests/test_exact_alloc.cpp counts allocations).
+// each worker thread reuses a scratch buffer (GTA's per-task mask prefix
+// and window-count planes), and the per-stage tables (forward's row
+// costs, GTA's dO bitsets and all-pass prefix, GTW's prefix-count rows),
+// cycle spans and scheduler arrays live in a pooled arena reused across
+// stages (tests/test_exact_alloc.cpp counts allocations).
 // Whole networks run through sim::run_exact, which schedules independent
 // (layer, stage) units concurrently on the same pool — see
 // exact_network.hpp.
@@ -173,6 +174,8 @@ class ExactEngine {
     std::vector<std::uint32_t> heap;       ///< d-ary heap of group ids
     std::vector<PeCost> src_costs;         ///< forward: per-input-row cost
     std::vector<std::uint16_t> osrc_prefix;  ///< GTW: per-input-row counts
+    std::vector<std::uint64_t> go_bits;      ///< GTA: per-dO-row bitsets
+    std::vector<std::uint32_t> all_pass_prefix;  ///< GTA: prefix[i] = i
   };
 
   /// RAII lease of one arena from the engine's pool.

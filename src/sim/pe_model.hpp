@@ -94,14 +94,16 @@ class PeExact {
     return cost;
   }
 
-  /// MSRC against a prefix-popcount mask (see the dataflow overload):
-  /// the GTA stage builds one prefix per task and pays O(1) per window.
-  /// Costs are identical to the BitMask overloads for the same mask.
-  PeCost run_msrc(SparseRowView input, const std::uint32_t* mask_prefix,
-                  const isa::RowBlock& geo, std::size_t wl) const {
-    const dataflow::RowOpWork w =
-        dataflow::msrc_work(input, mask_prefix, row_geometry(geo),
-                            geo.out_len);
+  /// MSRC against window-count planes (see the dataflow overload): the
+  /// GTA stage packs every dO row (geo.in_len positions) into a bitset
+  /// once per stage and builds one plane table per task, so each op is a
+  /// few popcounts. Costs are identical to the BitMask overloads for the
+  /// same mask.
+  PeCost run_msrc(const std::uint64_t* input_bits,
+                  const std::uint64_t* planes, const isa::RowBlock& geo,
+                  std::size_t wl) const {
+    const dataflow::RowOpWork w = dataflow::msrc_work(
+        input_bits, planes, dataflow::bit_words(geo.in_len), geo.kernel);
     PeCost cost;
     cost.ingested = w.active_inputs;  // look-ahead makes skips free
     cost.macs = w.macs;

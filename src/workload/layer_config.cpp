@@ -80,10 +80,13 @@ NetworkConfig resnet(std::string name, std::size_t input_hw,
     const std::size_t out_c = base << stage;
     for (std::size_t b = 0; b < blocks_per_stage[stage]; ++b) {
       const std::size_t stride = (stage > 0 && b == 0) ? 2 : 1;
-      add_basic_block(net.layers,
-                      "s" + std::to_string(stage + 1) + ".b" +
-                          std::to_string(b + 1),
-                      c, out_c, h, w, stride);
+      // Appends rather than `"s" + std::to_string(...)`: GCC 12 flags the
+      // literal-plus-temporary form with a false -Wrestrict.
+      std::string block = "s";
+      block += std::to_string(stage + 1);
+      block += ".b";
+      block += std::to_string(b + 1);
+      add_basic_block(net.layers, block, c, out_c, h, w, stride);
       c = out_c;
     }
   }

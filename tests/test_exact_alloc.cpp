@@ -2,9 +2,8 @@
 // warmed the per-thread scratch, evaluating tasks performs no heap
 // allocation at all. This binary replaces the global operator new/delete
 // pair with a counting shim; each stage is run twice on pre-compressed
-// operands and the second (steady-state) run must cost a small constant
-// number of allocations that does NOT grow with the task count — i.e.
-// per-task allocations are exactly zero.
+// operands and the second (steady-state) run must make no allocation at
+// all — neither per task nor per stage.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -79,12 +78,8 @@ std::size_t steady_state_allocs(const Fn& run) {
 
 // Since the streaming-merge rewrite there is no per-stage task-cost
 // vector at all: the serial path folds every task straight into the
-// group scheduler, and the scheduler arrays live in a pooled arena that
-// a warmed engine reuses without touching the heap. The only remaining
-// per-stage allocation is GTA's shared all-pass BitMask (one small words
-// vector per run_gta call); Forward and GTW steady-state runs must not
-// allocate at all.
-constexpr std::size_t kPerStageBudget = 4;
+// group scheduler, and the scheduler arrays and per-stage tables live in
+// a pooled arena that a warmed engine reuses without touching the heap.
 constexpr std::size_t kZero = 0;
 
 TEST(ExactAlloc, SteadyStateTaskEvaluationIsAllocationFree) {
@@ -120,13 +115,13 @@ TEST(ExactAlloc, SteadyStateTaskEvaluationIsAllocationFree) {
   const auto small_allocs = measure(small);
   const auto big_allocs = measure(big);
 
-  // Forward/GTW steady state is *exactly* allocation-free — in
+  // Every stage's steady state is *exactly* allocation-free — in
   // particular the old per-stage `std::vector<TaskCost> costs(tasks)`
   // is gone, not merely flat.
   EXPECT_EQ(small_allocs.fwd, kZero);
   EXPECT_EQ(small_allocs.gtw, kZero);
-  EXPECT_LE(small_allocs.gta_masked, kPerStageBudget);
-  EXPECT_LE(small_allocs.gta_all, kPerStageBudget);
+  EXPECT_EQ(small_allocs.gta_masked, kZero);
+  EXPECT_EQ(small_allocs.gta_all, kZero);
 
   // The proof that per-task allocations are zero: quadrupling the task
   // count must not change the per-stage allocation count at all.

@@ -3,7 +3,10 @@
 // that grounds every Fig. 8/9 number this repository produces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "compiler/compiler.hpp"
 #include "sim/accelerator.hpp"
@@ -20,6 +23,72 @@ dataflow::ConvGeometry geo_3x3(std::size_t c, std::size_t f) {
   geo.in_channels = c;
   geo.out_channels = f;
   return geo;
+}
+
+/// A GTA geometry whose dO and dI rows span several u64 words: in.w 270,
+/// stride 2, so out.w = 135 (> 128) for both (K 3, P 1) and (K 5, P 2).
+dataflow::ConvGeometry wide_strided_geo(std::size_t kernel,
+                                        std::size_t padding) {
+  auto g = geo_3x3(3, 4);
+  g.kernel = kernel;
+  g.stride = 2;
+  g.padding = padding;
+  return g;
+}
+
+constexpr std::size_t kWideW = 270;
+
+/// The GTA stage folded naively: every task's MSRC ops costed one by one
+/// through the BitMask reference PeExact::run_msrc, folded by
+/// PeGroupReducer, and each task assigned to the least-loaded group
+/// (lowest id on ties).
+ExactStageResult naive_gta(const ArchConfig& cfg, const Tensor& grad,
+                           const Shape& in_shape, const Tensor* mask,
+                           const dataflow::ConvGeometry& geo) {
+  const Shape out = grad.shape();
+  isa::RowBlock b;
+  b.kind = isa::RowOpKind::MSRC;
+  b.in_len = out.w;
+  b.out_len = in_shape.w;
+  b.kernel = static_cast<std::uint32_t>(geo.kernel);
+  b.stride = static_cast<std::uint32_t>(geo.stride);
+  b.padding = static_cast<std::uint32_t>(geo.padding);
+  const PeExact pe(cfg.timing);
+  PeGroupReducer red(cfg.pes_per_group, geo.kernel);
+  std::vector<std::size_t> loads(cfg.pe_groups, 0);
+  ExactStageResult r;
+  for (std::size_t n = 0; n < out.n; ++n) {
+    for (std::size_t c = 0; c < geo.in_channels; ++c) {
+      for (std::size_t iy = 0; iy < in_shape.h; ++iy) {
+        const BitMask m =
+            mask != nullptr
+                ? bitmask_from_dense(mask->row(n, c, iy))
+                : bitmask_all(static_cast<std::uint32_t>(in_shape.w));
+        red.begin_task();
+        for (std::size_t f = 0; f < geo.out_channels; ++f) {
+          for (std::size_t ky = 0; ky < geo.kernel; ++ky) {
+            const std::int64_t num =
+                static_cast<std::int64_t>(iy + geo.padding) -
+                static_cast<std::int64_t>(ky);
+            if (num < 0 || num % static_cast<std::int64_t>(geo.stride) != 0)
+              continue;
+            const auto oy = static_cast<std::size_t>(num) / geo.stride;
+            if (oy >= out.h) continue;
+            red.add(pe.run_msrc(compress_row(grad.row(n, f, oy)), m, b));
+          }
+        }
+        const std::size_t cycles = red.end_task();
+        *std::min_element(loads.begin(), loads.end()) += cycles;
+        ++r.tasks;
+      }
+    }
+  }
+  r.cycles = *std::max_element(loads.begin(), loads.end());
+  r.row_ops = red.row_ops();
+  r.activity.busy_cycles = red.busy();
+  r.activity.macs = red.macs();
+  r.activity.reg_accesses = red.reg();
+  return r;
 }
 
 void expect_identical(const ExactStageResult& a, const ExactStageResult& b) {
@@ -95,6 +164,37 @@ TEST(ExactEngine, MaskReducesGtaWork) {
   EXPECT_LE(masked.activity.busy_cycles, full.activity.busy_cycles);
 }
 
+TEST(ExactEngine, GtaOnMultiWordRowsMatchesNaiveBitMaskFold) {
+  // Rows wider than 128 positions: the dO bitsets and window-count
+  // planes span three words, and stride 2 with padding 1–2 clamps
+  // windows at both row ends.
+  ArchConfig cfg;
+  cfg.pe_groups = 5;
+  const ExactEngine engine(cfg);
+  for (const auto& [kernel, padding] :
+       {std::pair<std::size_t, std::size_t>{3, 1}, {5, 2}}) {
+    const auto geo = wide_strided_geo(kernel, padding);
+    SCOPED_TRACE("K=" + std::to_string(kernel) +
+                 " P=" + std::to_string(padding));
+    Rng rng(51 + kernel);
+    const Shape in_shape{1, geo.in_channels, 6, kWideW};
+    const Shape out_shape = dataflow::conv_output_shape(geo, in_shape);
+    ASSERT_GT(out_shape.w, 128u);
+    Tensor grad(out_shape);
+    grad.fill_sparse_normal(rng, 0.4);
+    Tensor mask(in_shape);
+    mask.fill_sparse_normal(rng, 0.45);
+    for (float& v : mask.flat())
+      if (v != 0.0f) v = 1.0f;
+
+    const auto masked = engine.run_gta(grad, in_shape, &mask, geo);
+    const auto all_pass = engine.run_gta(grad, in_shape, nullptr, geo);
+    EXPECT_LT(masked.activity.macs, all_pass.activity.macs);
+    expect_identical(masked, naive_gta(cfg, grad, in_shape, &mask, geo));
+    expect_identical(all_pass, naive_gta(cfg, grad, in_shape, nullptr, geo));
+  }
+}
+
 TEST(ExactEngine, MoreGroupsShortenMakespan) {
   Rng rng(9);
   Tensor input(Shape{1, 4, 12, 12});
@@ -140,16 +240,11 @@ TEST(ExactEngine, EmptyStageUtilizationIsZeroNotNaN) {
 
 // The parallel tiling contract: results are byte-identical to the serial
 // path for any worker count and any tile size, on all three stages.
-TEST(ExactEngineParallel, IdenticalForAnyWorkersAndTileSize) {
-  Rng rng(21);
-  const auto geo = [] {
-    auto g = geo_3x3(6, 12);
-    g.kernel = 3;
-    g.stride = 2;
-    g.padding = 1;
-    return g;
-  }();
-  Tensor input(Shape{2, 6, 24, 24});
+void expect_identical_for_any_workers_and_tile(
+    const dataflow::ConvGeometry& geo, const Shape& in_shape,
+    std::uint64_t seed) {
+  Rng rng(seed);
+  Tensor input(in_shape);
   input.fill_sparse_normal(rng, 0.4);
   const Shape out_shape = dataflow::conv_output_shape(geo, input.shape());
   Tensor grad(out_shape);
@@ -186,6 +281,18 @@ TEST(ExactEngineParallel, IdenticalForAnyWorkersAndTileSize) {
       expect_identical(parallel.run_gtw(grad, input, geo), gtw);
     }
   }
+}
+
+TEST(ExactEngineParallel, IdenticalForAnyWorkersAndTileSize) {
+  auto geo = geo_3x3(6, 12);
+  geo.stride = 2;
+  expect_identical_for_any_workers_and_tile(geo, Shape{2, 6, 24, 24}, 21);
+}
+
+TEST(ExactEngineParallel, IdenticalForAnyWorkersAndTileSizeOnWideRows) {
+  const auto geo = wide_strided_geo(5, 2);
+  expect_identical_for_any_workers_and_tile(
+      geo, Shape{2, geo.in_channels, 8, kWideW}, 22);
 }
 
 // Acceptance: a full-size AlexNet CONV layer (conv2 at ImageNet scale,

@@ -1,6 +1,6 @@
 // SIMD/scalar equivalence and edge-case coverage for the row-op work
-// counters, their prefix-table fast paths, and the BitMask window
-// primitives.
+// counters, their prefix-table and window-count-plane fast paths, and
+// the BitMask window primitives.
 //
 // Three layers of defense, all within one binary (the scalar references
 // are always compiled, whatever kernel path the build selected):
@@ -220,38 +220,6 @@ TEST(MsrcWork, ClampAgreesWithRowConvMacCount) {
   }
 }
 
-TEST(MsrcWork, PrefixOverloadMatchesBitMask) {
-  // The GTA stage's prefix-popcount fast path must count exactly what
-  // the BitMask path counts, for any mask and any window clamping
-  // (including strides that push whole windows past out_len).
-  Rng rng(0x9e3fU);
-  for (int iter = 0; iter < 400; ++iter) {
-    const auto K = static_cast<std::uint32_t>(1 + rng.uniform_index(9));
-    const auto S = static_cast<std::uint32_t>(1 + rng.uniform_index(4));
-    const auto P = static_cast<std::uint32_t>(rng.uniform_index(12));
-    const auto len = static_cast<std::uint32_t>(1 + rng.uniform_index(64));
-    const std::size_t out_len = rng.uniform_index(40);
-    const RowGeometry geo{K, S, P};
-    const SparseRow row = random_row(rng, len, 0.6);
-
-    std::vector<float> mask_dense(out_len);
-    for (auto& v : mask_dense) v = rng.bernoulli(0.5) ? 1.0f : 0.0f;
-    const BitMask mask = bitmask_from_dense(mask_dense);
-    std::vector<std::uint32_t> prefix(out_len + 1);
-    std::uint32_t acc = 0;
-    for (std::size_t i = 0; i < out_len; ++i) {
-      prefix[i] = acc;
-      acc += mask_dense[i] != 0.0f ? 1u : 0u;
-    }
-    prefix[out_len] = acc;
-
-    const RowOpWork ref = msrc_work(row, mask, geo, out_len);
-    const RowOpWork got = msrc_work(row, prefix.data(), geo, out_len);
-    ASSERT_TRUE(works_equal(got, ref))
-        << "K=" << K << " S=" << S << " P=" << P << " out_len=" << out_len;
-  }
-}
-
 /// osrc_count_prefix into a fresh buffer of input.length + 1 entries.
 std::vector<std::uint16_t> count_prefix(SparseRowView input) {
   std::vector<std::uint16_t> prefix(std::size_t{input.length} + 1);
@@ -261,6 +229,86 @@ std::vector<std::uint16_t> count_prefix(SparseRowView input) {
 
 bool costs_equal(const sim::PeCost& a, const sim::PeCost& b) {
   return a.cycles == b.cycles && a.macs == b.macs && a.ingested == b.ingested;
+}
+
+/// One draw of the plane-counter check: a random mask row of `out_len`
+/// outputs and a dO row width, then dO rows of every density counted by
+/// the plane path and the BitMask scalar reference, as RowOpWork and as
+/// PeCost.
+void check_planes_against_bitmask(Rng& rng, const RowGeometry& geo,
+                                  std::uint32_t out_len) {
+  const double densities[] = {0.0, 0.1, 0.5, 0.9, 1.0};
+  // Half the draws take the GTA geometry's dO width, half an unrelated one.
+  const std::int64_t conv_len = (static_cast<std::int64_t>(out_len) +
+                                 2 * geo.padding - geo.kernel) /
+                                    geo.stride +
+                                1;
+  const auto in_len = static_cast<std::uint32_t>(
+      rng.bernoulli(0.5) && conv_len > 0 ? conv_len
+                                         : 1 + rng.uniform_index(230));
+  std::vector<float> dense(out_len);
+  const double mask_density = densities[rng.uniform_index(5)];
+  for (auto& v : dense) v = rng.bernoulli(mask_density) ? 1.0f : 0.0f;
+  const BitMask mask = bitmask_from_dense(dense);
+  std::vector<std::uint32_t> prefix(out_len + 1, 0);
+  for (std::uint32_t i = 0; i < out_len; ++i) {
+    prefix[i + 1] = prefix[i] + (mask.allows(i) ? 1u : 0u);
+  }
+  std::vector<std::uint64_t> planes(bit_words(in_len) *
+                                    msrc_plane_count(geo.kernel));
+  msrc_count_planes(prefix.data(), out_len, geo, in_len, planes.data());
+
+  isa::RowBlock b;
+  b.kind = isa::RowOpKind::MSRC;
+  b.in_len = in_len;
+  b.out_len = out_len;
+  b.kernel = geo.kernel;
+  b.stride = geo.stride;
+  b.padding = geo.padding;
+  const sim::PeExact pe;
+  const std::size_t wl = pe.weight_load(b);
+  for (const double go_density : densities) {
+    SCOPED_TRACE(::testing::Message()
+                 << "K=" << geo.kernel << " S=" << geo.stride
+                 << " P=" << geo.padding << " out_len=" << out_len
+                 << " in_len=" << in_len << " mask=" << mask_density
+                 << " dO=" << go_density);
+    const SparseRow row = random_row(rng, in_len, go_density);
+    std::vector<std::uint64_t> bits(bit_words(in_len));
+    pack_row_bits(row, bits.data());
+    const RowOpWork ref = msrc_work_scalar(row, mask, geo, out_len);
+    ASSERT_TRUE(works_equal(
+        msrc_work(bits.data(), planes.data(), bits.size(), geo.kernel), ref));
+
+    sim::PeCost want;
+    want.cycles = wl + ref.active_inputs + sim::PeTiming{}.pipeline_drain;
+    want.macs = ref.macs;
+    want.ingested = ref.active_inputs;
+    const sim::PeCost got = pe.run_msrc(bits.data(), planes.data(), b, wl);
+    ASSERT_TRUE(costs_equal(got, want));
+    ASSERT_TRUE(costs_equal(got, pe.run_msrc(row, mask, b)));
+  }
+}
+
+TEST(MsrcWork, PlanesMatchBitMask) {
+  // The GTA stage's plane counter must count exactly what the BitMask
+  // scalar reference counts — as a work counter and as a PeCost — for
+  // empty, all-pass and partial masks, empty to dense dO rows, and rows
+  // on both sides of the u64 word boundaries.
+  Rng rng(0x9e3fU);
+  for (const std::uint32_t K : {1u, 2u, 3u, 5u, 7u, 11u}) {
+    for (std::uint32_t S = 1; S <= 4; ++S) {
+      for (std::uint32_t P = 0; P <= K; ++P) {
+        for (const std::uint32_t out_len :
+             {1u, 27u, 63u, 64u, 65u, 129u, 224u}) {
+          for (int draw = 0; draw < 3; ++draw) {
+            check_planes_against_bitmask(rng, RowGeometry{K, S, P}, out_len);
+            if (HasFatalFailure()) return;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(OsrcWork, PrefixOverloadMatchesSweep) {
