@@ -12,16 +12,16 @@
 // README's Performance section) so CI can archive the trajectory run
 // over run and gate on the 4-worker speedup.
 //
-// The JSON records which row-op kernel path the binary was built with
-// (`"simd"`, from dataflow::simd_mode()). --baseline PATH merges a prior
-// run of the *other* build into each entry (`baseline` object with that
-// run's seconds and the resulting speedup), which is how the committed
-// snapshot carries both the scalar and the SIMD measurement of one host:
-// bench the scalar build first, then the SIMD build with
-// --baseline scalar.json. The simulated fields must agree exactly with
-// the baseline's — the driver fails loudly if they don't, because a
-// simulated-field mismatch between kernel paths is a correctness bug,
-// not a perf regression.
+// The JSON records the ISA the binary was compiled for (`"simd"`, from
+// dataflow::simd_mode()). --baseline PATH merges a prior run into each
+// entry (`baseline` object with that run's seconds and the resulting
+// speedup), which is how the committed snapshot carries a same-session
+// before/after of one host: bench the parent commit's Release build
+// first, then this tree with --scaling --baseline parent.json. The
+// simulated fields must agree exactly with the baseline's — the driver
+// exits 1 if they don't, because a simulated-field mismatch is a
+// modelling change, not a perf regression. CI runs the same merge
+// against the committed snapshot as its byte-identity (golden) gate.
 //
 // Layer selection: every zoo workload contributes its median-MACs conv
 // layer, and AlexNet/ImageNet conv2 (the acceptance geometry tracked
@@ -384,9 +384,9 @@ int main(int argc, char** argv) {
             baseline_key(bc.workload, l.name, sr.stage));
         if (it != baseline.entries.end()) {
           const BaselineEntry& be = it->second;
-          // Kernel-path equivalence gate: the simulated fields are pure
-          // functions of the inputs, so any divergence from the baseline
-          // build is a bug, not noise.
+          // Byte-identity gate: the simulated fields are pure functions
+          // of the inputs, so any divergence from the baseline run is a
+          // modelling change, not noise.
           if (be.tasks != sr.tasks || be.row_ops != sr.row_ops ||
               be.macs != sr.macs || be.cycles != sr.cycles) {
             std::fprintf(stderr,

@@ -9,8 +9,8 @@ namespace sparsetrain {
 void BitMask::reset_words(std::uint32_t length) {
   length_ = length;
   const std::size_t n = (static_cast<std::size_t>(length) + 63) / 64;
-  // Two zero guard words past the payload (see word_data()) so windowed
-  // kernels read words [w, w+1] unconditionally for any w ≤ n.
+  // Two zero guard words past the payload so count_in reads words
+  // [w, w+1] unconditionally for any w ≤ n (see words_).
   words_.assign(n + 2, 0);  // reuses capacity: no allocation once warm
 }
 

@@ -66,20 +66,16 @@ class BitMask {
     return (static_cast<std::size_t>(length_) + 63) / 64;
   }
 
-  /// Raw word pointer for windowed kernels. The storage always carries
-  /// two zero guard words past word_count(), so a two-word window read
-  /// words[w], words[w + 1] is in-bounds for every w ≤ word_count() —
-  /// the AVX2 MSRC kernel gathers both window words branch-free even
-  /// when a clamped window starts exactly at length(). Never null once
-  /// assigned (zero-length masks still hold the guards).
-  const std::uint64_t* word_data() const { return words_.data(); }
-
  private:
   /// Sizes the word array for `length` bits plus guards, zero-filled.
   void reset_words(std::uint32_t length);
 
   std::uint32_t length_ = 0;
-  std::vector<std::uint64_t> words_;  ///< word_count() payload + 2 guards
+  /// word_count() payload words, then two zero guard words: count_in's
+  /// narrow-window path reads words_[w] and words_[w + 1] for a window's
+  /// start word w without a bounds branch, which the guards keep in
+  /// bounds (and zero) for every w ≤ word_count().
+  std::vector<std::uint64_t> words_;
 };
 
 /// Value-returning conveniences (tests, reference paths).

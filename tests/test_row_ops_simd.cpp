@@ -1,22 +1,20 @@
-// SIMD/scalar equivalence and edge-case coverage for the row-op work
-// counters, their prefix-table and window-count-plane fast paths, and
-// the BitMask window primitives.
+// Edge-case coverage for the row-op work counters, their prefix-table
+// and window-count-plane fast paths, and the BitMask window primitives.
 //
-// Three layers of defense, all within one binary (the scalar references
-// are always compiled, whatever kernel path the build selected):
-//   1. Exhaustive naive-reference sweeps over every small geometry —
-//      the per-tap loop nobody optimized is the ground truth for the
-//      O(1) congruence / popcount-window formulas.
+// Two layers of defense:
+//   1. Naive-reference checks — the per-tap loop nobody optimized is the
+//      ground truth for the O(1) congruence / popcount-window formulas,
+//      and the sweep and BitMask counters are the ground truth for the
+//      prefix and plane fast paths. Exhaustive over every small geometry,
+//      then randomized rows, plus wide shapes: K = 64 with P = 32,
+//      padding beyond the kernel, out_len 0, and rows up to 1024 long.
 //   2. Boundary cases called out by inspection: windows ending exactly
 //      on 64-bit word boundaries, lo == hi, clamped-to-empty windows,
 //      out_len smaller than the kernel overhang.
-//   3. Randomized fuzz comparing the dispatching entry points against
-//      the scalar references on realistic row shapes, asserting equal
-//      counts and bit-equal float outputs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "dataflow/row_ops.hpp"
@@ -110,8 +108,35 @@ bool works_equal(const RowOpWork& a, const RowOpWork& b) {
          a.skipped_inputs == b.skipped_inputs;
 }
 
+/// Calls check(geo, row, out_len) over shapes the small random draws
+/// miss: a 64-wide kernel with P = 32, padding beyond the kernel, stride
+/// beyond the kernel, out_len 0 and rows up to 1024 long, at every
+/// density from empty to full.
+template <typename Check>
+void for_each_wide_shape(Rng& rng, Check&& check) {
+  const RowGeometry geos[] = {{3, 1, 1}, {8, 1, 0}, {5, 2, 2}, {3, 5, 1},
+                              {7, 1, 9}, {64, 1, 32}, {1, 1, 0}};
+  for (const RowGeometry& geo : geos) {
+    for (const double d : {0.0, 0.1, 0.5, 0.9, 1.0}) {
+      for (const std::uint32_t length : {1u, 7u, 64u, 65u, 200u, 1024u}) {
+        const SparseRow row = random_row(rng, length, d);
+        for (const std::size_t out_len :
+             {std::size_t{0}, std::size_t{1}, std::size_t{63},
+              std::size_t{64}, std::size_t{128}, std::size_t{length}}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "K=" << geo.kernel << " S=" << geo.stride
+                       << " P=" << geo.padding << " len=" << length
+                       << " out_len=" << out_len << " d=" << d);
+          check(geo, row, out_len);
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------------
-// 1. Exhaustive sweeps against the naive references.
+// 1. Checks against the naive references.
 
 TEST(SrcWork, ExhaustiveSmallGeometries) {
   // Every (K ≤ 8, S ≤ 4, P ≤ 8, out_len ≤ 16) geometry with every
@@ -135,7 +160,6 @@ TEST(SrcWork, ExhaustiveSmallGeometries) {
                 << "K=" << K << " S=" << S << " P=" << P
                 << " out_len=" << out_len << " off=" << off << " macs "
                 << got.macs << " vs " << ref.macs;
-            ASSERT_TRUE(works_equal(src_work_scalar(row, geo, out_len), ref));
             ++cases;
           }
         }
@@ -157,8 +181,12 @@ TEST(SrcWork, MultiNonzeroRowsMatchNaive) {
     const RowGeometry geo{K, S, P};
     const RowOpWork ref = src_work_naive(row, geo, out_len);
     EXPECT_TRUE(works_equal(src_work(row, geo, out_len), ref));
-    EXPECT_TRUE(works_equal(src_work_scalar(row, geo, out_len), ref));
   }
+  for_each_wide_shape(rng, [](const RowGeometry& geo, const SparseRow& row,
+                              std::size_t out_len) {
+    ASSERT_TRUE(works_equal(src_work(row, geo, out_len),
+                            src_work_naive(row, geo, out_len)));
+  });
 }
 
 TEST(BitMaskCountIn, WordBoundaryWindows) {
@@ -216,8 +244,15 @@ TEST(MsrcWork, ClampAgreesWithRowConvMacCount) {
     const RowOpWork ref = msrc_work_naive(row, mask, geo, out_len);
     ASSERT_TRUE(works_equal(got, ref))
         << "K=" << K << " S=" << S << " P=" << P << " out_len=" << out_len;
-    ASSERT_TRUE(works_equal(msrc_work_scalar(row, mask, geo, out_len), ref));
   }
+  for_each_wide_shape(rng, [&](const RowGeometry& geo, const SparseRow& row,
+                               std::size_t out_len) {
+    std::vector<float> mask_dense(out_len);
+    for (auto& v : mask_dense) v = rng.bernoulli(0.5) ? 1.0f : 0.0f;
+    const BitMask mask = bitmask_from_dense(mask_dense);
+    ASSERT_TRUE(works_equal(msrc_work(row, mask, geo, out_len),
+                            msrc_work_naive(row, mask, geo, out_len)));
+  });
 }
 
 /// osrc_count_prefix into a fresh buffer of input.length + 1 entries.
@@ -233,8 +268,7 @@ bool costs_equal(const sim::PeCost& a, const sim::PeCost& b) {
 
 /// One draw of the plane-counter check: a random mask row of `out_len`
 /// outputs and a dO row width, then dO rows of every density counted by
-/// the plane path and the BitMask scalar reference, as RowOpWork and as
-/// PeCost.
+/// the plane path and the BitMask counter, as RowOpWork and as PeCost.
 void check_planes_against_bitmask(Rng& rng, const RowGeometry& geo,
                                   std::uint32_t out_len) {
   const double densities[] = {0.0, 0.1, 0.5, 0.9, 1.0};
@@ -276,7 +310,7 @@ void check_planes_against_bitmask(Rng& rng, const RowGeometry& geo,
     const SparseRow row = random_row(rng, in_len, go_density);
     std::vector<std::uint64_t> bits(bit_words(in_len));
     pack_row_bits(row, bits.data());
-    const RowOpWork ref = msrc_work_scalar(row, mask, geo, out_len);
+    const RowOpWork ref = msrc_work(row, mask, geo, out_len);
     ASSERT_TRUE(works_equal(
         msrc_work(bits.data(), planes.data(), bits.size(), geo.kernel), ref));
 
@@ -292,9 +326,9 @@ void check_planes_against_bitmask(Rng& rng, const RowGeometry& geo,
 
 TEST(MsrcWork, PlanesMatchBitMask) {
   // The GTA stage's plane counter must count exactly what the BitMask
-  // scalar reference counts — as a work counter and as a PeCost — for
-  // empty, all-pass and partial masks, empty to dense dO rows, and rows
-  // on both sides of the u64 word boundaries.
+  // counter counts — as a work counter and as a PeCost — for empty,
+  // all-pass and partial masks, empty to dense dO rows, and rows on both
+  // sides of the u64 word boundaries.
   Rng rng(0x9e3fU);
   for (const std::uint32_t K : {1u, 2u, 3u, 5u, 7u, 11u}) {
     for (std::uint32_t S = 1; S <= 4; ++S) {
@@ -318,6 +352,27 @@ TEST(OsrcWork, PrefixOverloadMatchesSweep) {
   Rng rng(0x05c7U);
   const sim::PeExact pe;
   const double densities[] = {0.0, 0.05, 0.3, 0.7, 1.0};
+  const auto check = [&](const SparseRow& input, const SparseRow& grad,
+                         const RowGeometry& geo) {
+    const std::vector<std::uint16_t> prefix = count_prefix(input);
+    ASSERT_TRUE(works_equal(osrc_work(prefix.data(), input.length, grad, geo),
+                            osrc_work(input, grad, geo)))
+        << "K=" << geo.kernel << " S=" << geo.stride << " P=" << geo.padding
+        << " in=" << input.length << " go=" << grad.length;
+
+    isa::RowBlock b;
+    b.kind = isa::RowOpKind::OSRC;
+    b.kernel = geo.kernel;
+    b.stride = geo.stride;
+    b.padding = geo.padding;
+    b.second_len = input.length;
+    ASSERT_TRUE(costs_equal(
+        pe.run_osrc(prefix.data(), input.nnz(), grad, b, pe.weight_load(b),
+                    sim::PeExact::osrc_chunks(grad, b)),
+        pe.run_osrc(input, grad, b)))
+        << "PeCost K=" << geo.kernel << " S=" << geo.stride
+        << " P=" << geo.padding;
+  };
   std::size_t cases = 0;
   for (const std::uint32_t K : {1u, 3u, 5u, 11u}) {
     for (std::uint32_t S = 1; S <= 4; ++S) {
@@ -331,30 +386,22 @@ TEST(OsrcWork, PrefixOverloadMatchesSweep) {
               random_row(rng, in_len, densities[rng.uniform_index(5)]);
           const SparseRow grad =
               random_row(rng, go_len, densities[rng.uniform_index(5)]);
-          const RowGeometry geo{K, S, P};
-          const std::vector<std::uint16_t> prefix = count_prefix(input);
-          ASSERT_TRUE(works_equal(osrc_work(prefix.data(), in_len, grad, geo),
-                                  osrc_work_scalar(input, grad, geo)))
-              << "K=" << K << " S=" << S << " P=" << P << " in=" << in_len
-              << " go=" << go_len;
-
-          isa::RowBlock b;
-          b.kind = isa::RowOpKind::OSRC;
-          b.kernel = K;
-          b.stride = S;
-          b.padding = P;
-          b.second_len = in_len;
-          ASSERT_TRUE(costs_equal(
-              pe.run_osrc(prefix.data(), input.nnz(), grad, b,
-                          pe.weight_load(b), sim::PeExact::osrc_chunks(grad, b)),
-              pe.run_osrc(input, grad, b)))
-              << "PeCost K=" << K << " S=" << S << " P=" << P;
+          check(input, grad, RowGeometry{K, S, P});
+          if (HasFatalFailure()) return;
           ++cases;
         }
       }
     }
   }
   EXPECT_GT(cases, 1000u);
+  // The wide shapes pair each I row with a dO row of out_len positions.
+  for_each_wide_shape(rng, [&](const RowGeometry& geo, const SparseRow& row,
+                               std::size_t out_len) {
+    const SparseRow grad = random_row(
+        rng, static_cast<std::uint32_t>(std::max<std::size_t>(1, out_len)),
+        densities[rng.uniform_index(5)]);
+    check(row, grad, geo);
+  });
 }
 
 TEST(OsrcWork, PrefixCountsAreExactPastTheU16Wrap) {
@@ -372,7 +419,7 @@ TEST(OsrcWork, PrefixCountsAreExactPastTheU16Wrap) {
         const RowGeometry geo{K, S, K / 2};
         const SparseRow grad = random_row(rng, in_len / S + 1, 0.2);
         const RowOpWork got = osrc_work(prefix.data(), in_len, grad, geo);
-        ASSERT_TRUE(works_equal(got, osrc_work_scalar(input, grad, geo)))
+        ASSERT_TRUE(works_equal(got, osrc_work(input, grad, geo)))
             << "d=" << d << " K=" << K << " S=" << S;
         EXPECT_GT(got.macs, 0u);
       }
@@ -399,8 +446,9 @@ TEST(SrcWork, RightClampWithTinyOutput) {
 }
 
 TEST(MsrcWork, FullyClampedWindowAtWordBoundaryLength) {
-  // out_len = 128 (exactly two words): a nonzero whose window starts at
-  // or beyond out_len exercises the guard-word reads of the fast path.
+  // out_len = 128 (exactly two words): windows clamped to the last word
+  // make count_in read a guard word, and a nonzero whose window starts
+  // at or beyond out_len must count as skipped.
   const RowGeometry geo{3, 1, 0};
   const BitMask mask = bitmask_all(128);
   SparseRow row;
@@ -438,141 +486,20 @@ TEST(RowOps, ZeroLengthAndEmptyOperands) {
   EXPECT_EQ(mw.skipped_inputs, 1u);
 }
 
-// ------------------------------------------------------------------
-// 3. Dispatch-vs-scalar fuzz (SIMD builds exercise the AVX2 kernels
-//    here; scalar builds degenerate to reference-vs-reference, which
-//    keeps the suite meaningful on any host).
-
-struct FuzzGeometry {
-  std::uint32_t kernel, stride, padding;
-};
-
-TEST(SimdEquivalence, WorkCountersMatchScalarOnRandomRows) {
-  Rng rng(0x51d5U);
-  const double densities[] = {0.0, 0.1, 0.5, 0.9, 1.0};
-  const FuzzGeometry geos[] = {
-      {3, 1, 1},   // the common conv geometry
-      {8, 1, 0},   // kernel wider than some rows
-      {5, 2, 2},   // strided
-      {3, 5, 1},   // stride > kernel
-      {7, 1, 9},   // padding ≥ kernel
-      {64, 1, 32}, // widest kernel the MSRC fast path accepts
-      {1, 1, 0},   // pointwise
-  };
-  for (const FuzzGeometry& g : geos) {
-    const RowGeometry geo{g.kernel, g.stride, g.padding};
-    for (const double d : densities) {
-      for (const std::uint32_t length : {1u, 7u, 64u, 65u, 200u, 1024u}) {
-        const SparseRow input = random_row(rng, length, d);
-        for (const std::size_t out_len :
-             {std::size_t{0}, std::size_t{1}, std::size_t{63},
-              std::size_t{64}, std::size_t{128},
-              static_cast<std::size_t>(length)}) {
-          // SRC
-          EXPECT_TRUE(works_equal(src_work(input, geo, out_len),
-                                  src_work_scalar(input, geo, out_len)))
-              << "src K=" << g.kernel << " S=" << g.stride << " len="
-              << length << " out=" << out_len << " d=" << d;
-          // MSRC under a random mask
-          std::vector<float> mask_dense(out_len);
-          for (auto& v : mask_dense) v = rng.bernoulli(0.5) ? 1.0f : 0.0f;
-          const BitMask mask = bitmask_from_dense(mask_dense);
-          EXPECT_TRUE(
-              works_equal(msrc_work(input, mask, geo, out_len),
-                          msrc_work_scalar(input, mask, geo, out_len)))
-              << "msrc K=" << g.kernel << " S=" << g.stride << " len="
-              << length << " out=" << out_len << " d=" << d;
-          // OSRC against a second random row
-          const SparseRow grad = random_row(
-              rng, static_cast<std::uint32_t>(std::max<std::size_t>(
-                       1, out_len)),
-              densities[rng.uniform_index(5)]);
-          EXPECT_TRUE(works_equal(osrc_work(input, grad, geo),
-                                  osrc_work_scalar(input, grad, geo)))
-              << "osrc K=" << g.kernel << " S=" << g.stride;
-        }
-      }
-    }
-  }
-}
-
-TEST(SimdEquivalence, OsrcSweepVisitSequencesAreIdentical) {
-  // The dispatching sweep must produce the same (j, win_lo, lo, hi)
-  // sequence as the scalar sweep — this is what makes osrc_row_conv's
-  // float accumulation order (and bit pattern) build-invariant.
-  Rng rng(0x0529U);
-  for (int iter = 0; iter < 200; ++iter) {
-    const RowGeometry geo{
-        static_cast<std::uint32_t>(1 + rng.uniform_index(9)),
-        static_cast<std::uint32_t>(1 + rng.uniform_index(4)),
-        static_cast<std::uint32_t>(rng.uniform_index(6))};
-    const auto in_len = static_cast<std::uint32_t>(1 + rng.uniform_index(300));
-    const auto go_len = static_cast<std::uint32_t>(1 + rng.uniform_index(100));
-    const SparseRow input = random_row(rng, in_len, rng.uniform());
-    const SparseRow grad = random_row(rng, go_len, rng.uniform());
-
-    struct VisitRec {
-      std::size_t j;
-      std::int64_t win_lo;
-      std::size_t lo, hi;
-      bool operator==(const VisitRec&) const = default;
-    };
-    std::vector<VisitRec> a, b;
-    osrc_window_sweep(input, grad, geo,
-                      [&](std::size_t j, std::int64_t wl, std::size_t lo,
-                          std::size_t hi) { a.push_back({j, wl, lo, hi}); });
-    osrc_window_sweep_scalar(
-        input, grad, geo,
-        [&](std::size_t j, std::int64_t wl, std::size_t lo,
-            std::size_t hi) { b.push_back({j, wl, lo, hi}); });
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      ASSERT_TRUE(a[i] == b[i]) << "visit " << i << " diverged";
-    }
-  }
-}
-
-TEST(SimdEquivalence, OsrcRowConvBitsMatchScalarSweep) {
-  // Same accumulation through the scalar sweep, compared bitwise.
-  Rng rng(0xf10a7U);
-  for (int iter = 0; iter < 200; ++iter) {
-    const RowGeometry geo{
-        static_cast<std::uint32_t>(1 + rng.uniform_index(9)),
-        static_cast<std::uint32_t>(1 + rng.uniform_index(3)),
-        static_cast<std::uint32_t>(rng.uniform_index(5))};
-    const auto in_len = static_cast<std::uint32_t>(1 + rng.uniform_index(200));
-    const auto go_len = static_cast<std::uint32_t>(1 + rng.uniform_index(80));
-    const SparseRow input = random_row(rng, in_len, rng.uniform());
-    const SparseRow grad = random_row(rng, go_len, rng.uniform());
-
-    std::vector<float> dw(geo.kernel, 0.0f);
-    osrc_row_conv(input, grad, geo, dw);
-
-    std::vector<float> ref(geo.kernel, 0.0f);
-    osrc_window_sweep_scalar(
-        input, grad, geo,
-        [&](std::size_t j, std::int64_t win_lo, std::size_t lo,
-            std::size_t hi) {
-          const float g = grad.values[j];
-          for (std::size_t idx = lo; idx < hi; ++idx) {
-            const std::size_t k = static_cast<std::size_t>(
-                input.offsets[idx] - win_lo);
-            ref[k] += g * input.values[idx];
-          }
-        });
-    ASSERT_EQ(std::memcmp(dw.data(), ref.data(),
-                          dw.size() * sizeof(float)),
-              0)
-        << "osrc_row_conv bits diverged at iter " << iter;
-  }
-}
-
-TEST(SimdEquivalence, BuildReportsItsKernelPath) {
-  // Not an equivalence assertion — a visibility check: the mode string
-  // must be one of the two documented values so bench JSON stays valid.
-  const std::string mode = simd_mode();
-  EXPECT_TRUE(mode == "avx2" || mode == "scalar") << mode;
-  EXPECT_EQ(mode == "avx2", simd_enabled());
+TEST(RowOps, BuildReportsItsKernelPath) {
+  // Not a count assertion — a visibility check: the mode string names
+  // the ISA the library was compiled for, so bench JSON and the daemons'
+  // `status` attribute their timings to the right codegen.
+#ifdef __AVX2__
+  EXPECT_STREQ(simd_mode(), "avx2");
+#else
+  EXPECT_STREQ(simd_mode(), "scalar");
+#endif
+#if defined(__x86_64__) || defined(__i386__)
+  // The build adds -mavx2 whenever the configuring host runs AVX2, and
+  // the tests run where they were configured.
+  if (__builtin_cpu_supports("avx2")) EXPECT_STREQ(simd_mode(), "avx2");
+#endif
 }
 
 }  // namespace
