@@ -8,9 +8,14 @@
 // scaling factor; with --scaling the pass becomes a {1, 2, 4, 8}-worker
 // sweep and each entry carries its whole speedup curve. Results go to
 // stdout as a table and to a JSON file (default BENCH_exact_engine.json —
-// schema sparsetrain.bench_exact_throughput/v3, documented in the
+// schema sparsetrain.bench_exact_throughput/v4, documented in the
 // README's Performance section) so CI can archive the trajectory run
 // over run and gate on the 4-worker speedup.
+//
+// Every timed point splits its --min-time budget into five blocks:
+// `seconds_serial` is the median block's seconds per run and
+// `seconds_serial_iqr` the blocks' interquartile range, so one entry's
+// before/after can be read against its own spread.
 //
 // The JSON records the ISA the binary was compiled for (`"simd"`, from
 // dataflow::simd_mode()). --baseline PATH merges a prior run into each
@@ -88,6 +93,7 @@ struct StageRun {
   std::size_t macs = 0;
   std::size_t cycles = 0;
   double seconds_serial = 0.0;
+  double seconds_serial_iqr = 0.0;
   double rows_per_s = 0.0;
   double macs_per_s = 0.0;
   double seconds_parallel = 0.0;
@@ -110,18 +116,42 @@ const workload::LayerConfig* median_conv_layer(
   return convs[convs.size() / 2];
 }
 
-/// Times `fn` (which returns an ExactStageResult) until it has run for
-/// at least `min_time` seconds, returning seconds per run.
+/// Timed blocks per point: the --min-time budget is split evenly among
+/// them, each block records its mean seconds per run, and a point is the
+/// median block with the blocks' interquartile range as its spread.
+constexpr int kTimedBlocks = 5;
+
+struct Timing {
+  double median = 0.0;  ///< seconds per run, median block
+  double iqr = 0.0;     ///< q3 − q1 of the block means
+};
+
+/// Linear-interpolation quantile of an ascending sample.
+double quantile(const std::vector<double>& sorted, double q) {
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  return sorted[lo] +
+         (pos - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
+}
+
+/// Times `fn` (which returns an ExactStageResult) in kTimedBlocks blocks
+/// that each run it for at least min_time / kTimedBlocks seconds.
 template <typename Fn>
-double time_stage(const Fn& fn, double min_time, int* reps_out = nullptr) {
-  WallTimer timer;
-  int reps = 0;
-  do {
-    fn();
-    ++reps;
-  } while (timer.seconds() < min_time);
-  if (reps_out != nullptr) *reps_out = reps;
-  return timer.seconds() / reps;
+Timing time_stage(const Fn& fn, double min_time) {
+  std::vector<double> blocks;
+  for (int b = 0; b < kTimedBlocks; ++b) {
+    WallTimer timer;
+    int reps = 0;
+    do {
+      fn();
+      ++reps;
+    } while (timer.seconds() < min_time / kTimedBlocks);
+    blocks.push_back(timer.seconds() / reps);
+  }
+  std::sort(blocks.begin(), blocks.end());
+  return {quantile(blocks, 0.5),
+          quantile(blocks, 0.75) - quantile(blocks, 0.25)};
 }
 
 void json_escape(std::string& out, const std::string& s) {
@@ -135,6 +165,7 @@ void json_escape(std::string& out, const std::string& s) {
 /// against plus the simulated fields, which must match exactly.
 struct BaselineEntry {
   double seconds_serial = 0.0;
+  double seconds_serial_iqr = -1.0;  ///< < 0: the run recorded none
   std::size_t tasks = 0;
   std::size_t row_ops = 0;
   std::size_t macs = 0;
@@ -167,6 +198,7 @@ bool load_baseline(const std::string& path, Baseline& out) {
     for (const serve::JsonValue& e : entries->as_array()) {
       BaselineEntry be;
       be.seconds_serial = e.get_number("seconds_serial", 0.0);
+      be.seconds_serial_iqr = e.get_number("seconds_serial_iqr", -1.0);
       be.tasks = static_cast<std::size_t>(e.get_number("tasks", 0.0));
       be.row_ops = static_cast<std::size_t>(e.get_number("row_ops", 0.0));
       be.macs = static_cast<std::size_t>(e.get_number("macs", 0.0));
@@ -188,7 +220,8 @@ int main(int argc, char** argv) {
   const Args args(
       argc, argv,
       {{"out", "output JSON path (default BENCH_exact_engine.json)"},
-       {"min-time", "minimum seconds per timed point (default 0.3)"},
+       {"min-time",
+        "minimum seconds per timed point, split into 5 blocks (default 0.3)"},
        {"quick", "CIFAR AlexNet entry only (the CI subset)", false},
        {"full", "every conv layer of every zoo workload", false},
        {"scaling", "sweep workers {1,2,4,8} per entry", false},
@@ -268,7 +301,7 @@ int main(int argc, char** argv) {
 
   std::string json;
   json += "{\n";
-  json += "  \"schema\": \"sparsetrain.bench_exact_throughput/v3\",\n";
+  json += "  \"schema\": \"sparsetrain.bench_exact_throughput/v4\",\n";
   json += "  \"simd\": \"" + std::string(dataflow::simd_mode()) + "\",\n";
   if (have_baseline) {
     json += "  \"baseline_simd\": \"" + baseline.simd + "\",\n";
@@ -313,15 +346,16 @@ int main(int argc, char** argv) {
       sr.row_ops = r.row_ops;
       sr.macs = r.activity.macs;
       sr.cycles = r.cycles;
-      sr.seconds_serial =
-          time_stage([&] { return run_on(serial); }, min_time);
+      const Timing t = time_stage([&] { return run_on(serial); }, min_time);
+      sr.seconds_serial = t.median;
+      sr.seconds_serial_iqr = t.iqr;
       sr.rows_per_s = static_cast<double>(sr.row_ops) / sr.seconds_serial;
       sr.macs_per_s = static_cast<double>(sr.macs) / sr.seconds_serial;
       for (std::size_t i = 0; i < engines.size(); ++i) {
         ScalePoint p;
         p.workers = sweep[i] == 0 ? hw : sweep[i];
         p.seconds =
-            time_stage([&] { return run_on(*engines[i]); }, min_time);
+            time_stage([&] { return run_on(*engines[i]); }, min_time).median;
         p.speedup = p.seconds > 0.0 ? sr.seconds_serial / p.seconds : 0.0;
         sr.scaling.push_back(p);
       }
@@ -365,6 +399,8 @@ int main(int argc, char** argv) {
       json += ", \"macs\": " + std::to_string(sr.macs);
       json += ", \"cycles\": " + std::to_string(sr.cycles);
       json += ", \"seconds_serial\": " + std::to_string(sr.seconds_serial);
+      json += ", \"seconds_serial_iqr\": " +
+              std::to_string(sr.seconds_serial_iqr);
       json += ", \"rows_per_s\": " + std::to_string(sr.rows_per_s);
       json += ", \"macs_per_s\": " + std::to_string(sr.macs_per_s);
       json += ", \"seconds_parallel\": " + std::to_string(sr.seconds_parallel);
@@ -401,8 +437,12 @@ int main(int argc, char** argv) {
                                      : 0.0;
           json += ", \"baseline\": {\"simd\": \"" + baseline.simd +
                   "\", \"seconds_serial\": " +
-                  std::to_string(be.seconds_serial) +
-                  ", \"speedup\": " + std::to_string(speedup) + "}";
+                  std::to_string(be.seconds_serial);
+          if (be.seconds_serial_iqr >= 0.0) {
+            json += ", \"seconds_serial_iqr\": " +
+                    std::to_string(be.seconds_serial_iqr);
+          }
+          json += ", \"speedup\": " + std::to_string(speedup) + "}";
         }
       }
       json += "}";

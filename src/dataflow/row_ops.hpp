@@ -12,7 +12,9 @@
 //   OSRC (GTW): two sparse rows (I and dO) correlated into a K-length dW
 //        row that lives in a scratchpad for the whole row pair. Its
 //        functional reference and row-pair counter sweep both rows with
-//        two pointers; the engine's counter reads a prefix-count I row.
+//        two pointers. The engine counts no OSRC op: an op's cycles are
+//        a function of the two rows' nonzero counts, and the GTW stage
+//        folds its MAC total once per sample (see exact_engine.cpp).
 //
 // These are the *functional references*: bit-exact semantics used both to
 // validate the dense layer implementations and as the ground truth for the
@@ -27,7 +29,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <limits>
 #include <span>
 
 #include "tensor/bit_mask.hpp"
@@ -272,9 +273,9 @@ inline RowOpWork msrc_work(const std::uint64_t* input_bits,
 /// grow monotonically with ox, so two pointers sweep I once across all dO
 /// nonzeros — O(nnz_dO + nnz_I) instead of nnz_dO · K · log(nnz_I).
 /// Calls visit(j, win_lo, lo, hi) per dO nonzero with I's members of the
-/// window at offsets[lo, hi). The exact engine's GTW stage counts from a
-/// prefix-count row instead (see the prefix osrc_work below), which needs
-/// no sweep at all.
+/// window at offsets[lo, hi). The exact engine's GTW stage runs no sweep:
+/// an op's cycles need only the two rows' nonzero counts, and the stage
+/// sums its MACs once from per-sample window counts.
 template <typename Visit>
 inline void osrc_window_sweep(SparseRowView input_acts, SparseRowView grad_out,
                               const RowGeometry& geo, Visit&& visit) {
@@ -312,52 +313,6 @@ inline RowOpWork osrc_work(SparseRowView input_acts, SparseRowView grad_out,
                         ++w.skipped_inputs;
                       }
                     });
-  return w;
-}
-
-/// Lowers an I row into its prefix-count row: `prefix` receives
-/// input.length + 1 entries, entry x = number of nonzeros at offsets < x,
-/// stored mod 2^16. The GTW stage builds one such row per input row, once
-/// per stage, and every OSRC op pairing that row reads it.
-inline void osrc_count_prefix(SparseRowView input, std::uint16_t* prefix) {
-  // Scatter one mark past each nonzero, then one running sum: no
-  // data-dependent branches, whatever the row's density.
-  std::fill_n(prefix, std::size_t{input.length} + 1, std::uint16_t{0});
-  for (const std::uint32_t off : input.offsets) prefix[off + 1] = 1;
-  for (std::size_t x = 1; x <= input.length; ++x) {
-    prefix[x] = static_cast<std::uint16_t>(prefix[x] + prefix[x - 1]);
-  }
-}
-
-/// Work of an OSRC op against a prefix-count I row (osrc_count_prefix,
-/// `in_len` + 1 entries) — the engine's entry point. The matching I
-/// positions of dO nonzero ox are the K-wide window [ox·S − P, ox·S − P
-/// + K); clamped to the row, its count is two loads and a subtract, so
-/// the op is O(nnz_dO) branch-free loads instead of an
-/// O(nnz_dO + nnz_I) sweep. A window holds at most K nonzeros, so with
-/// K < 2^16 the u16 difference of two wrapped entries is exact for any
-/// row width. Counts are identical to the sweep overloads (the
-/// equivalence suite pins this, u16 wrap included).
-inline RowOpWork osrc_work(const std::uint16_t* input_prefix,
-                           std::size_t in_len, SparseRowView grad_out,
-                           const RowGeometry& geo) {
-  ST_REQUIRE(geo.kernel <= std::numeric_limits<std::uint16_t>::max(),
-             "OSRC prefix counts need K < 2^16");
-  RowOpWork w;
-  const std::int64_t S = geo.stride;
-  const std::int64_t P = geo.padding;
-  const std::int64_t K = geo.kernel;
-  const auto len = static_cast<std::int64_t>(in_len);
-  for (const std::uint32_t ox : grad_out.offsets) {
-    const std::int64_t win_lo = static_cast<std::int64_t>(ox) * S - P;
-    const std::int64_t lo = std::clamp<std::int64_t>(win_lo, 0, len);
-    const std::int64_t hi = std::clamp<std::int64_t>(win_lo + K, 0, len);
-    const auto n =
-        static_cast<std::uint16_t>(input_prefix[hi] - input_prefix[lo]);
-    w.macs += n;
-    w.active_inputs += n != 0 ? 1 : 0;
-  }
-  w.skipped_inputs = grad_out.nnz() - w.active_inputs;
   return w;
 }
 

@@ -158,6 +158,36 @@ double ExactStageResult::utilization(std::size_t total_pes) const {
          (static_cast<double>(cycles) * static_cast<double>(total_pes));
 }
 
+/// Wall time of one whole stage run — its per-stage tables, its tasks and
+/// any closing fold — reported to the profiler once, when the stage
+/// finishes. The profiler is the only source of timing in the engine:
+/// with none attached no clock is read anywhere on the stage path.
+class ExactEngine::StageClock {
+ public:
+  StageClock(ExactProfiler* profiler, const char* stage)
+      : profiler_(profiler), stage_(stage) {
+    if (profiler_ != nullptr) start_ = std::chrono::steady_clock::now();
+  }
+
+  /// Parallel tiles the stage's tasks used (1 serial, 0 empty).
+  void set_tiles(std::uint64_t tiles) { tiles_ = tiles; }
+
+  void finish(const ExactStageResult& result) const {
+    if (profiler_ == nullptr) return;
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start_)
+                               .count();
+    profiler_->record_stage(stage_, seconds, result.tasks, result.row_ops,
+                            tiles_);
+  }
+
+ private:
+  ExactProfiler* profiler_;
+  const char* stage_;
+  std::chrono::steady_clock::time_point start_{};
+  std::uint64_t tiles_ = 0;
+};
+
 ExactEngine::ExactEngine(ArchConfig cfg, ExactOptions opts)
     : cfg_(std::move(cfg)), opts_(opts), pe_(cfg_.timing) {
   ST_REQUIRE(cfg_.sparse, "the exact engine models the sparse architecture");
@@ -221,23 +251,10 @@ std::size_t ExactEngine::tile_for(std::size_t task_count,
 template <typename Kernel>
 ExactStageResult ExactEngine::run_tasks(std::size_t task_count,
                                         std::size_t est_ops_per_task,
-                                        const Kernel& kernel) const {
+                                        const Kernel& kernel,
+                                        StageClock& clock) const {
   ExactStageResult result;
   result.tasks = task_count;
-
-  // The profiler is the only source of timing in the engine: when it is
-  // null (the default) no clock is read anywhere on this path.
-  ExactProfiler* const profiler = opts_.profiler;
-  std::chrono::steady_clock::time_point prof_start{};
-  if (profiler != nullptr) prof_start = std::chrono::steady_clock::now();
-  const auto prof_record = [&](std::uint64_t tiles_used) {
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      prof_start)
-            .count();
-    profiler->record_stage(Kernel::kStage, seconds, result.tasks,
-                           result.row_ops, tiles_used);
-  };
 
   ArenaLease lease = acquire_arena();
   StageArena& arena = *lease.arena;
@@ -251,10 +268,7 @@ ExactStageResult ExactEngine::run_tasks(std::size_t task_count,
   }
   GroupHeap sched(arena.loads.data(), arena.heap.data(), cfg_.pe_groups);
 
-  if (task_count == 0) {
-    if (profiler != nullptr) prof_record(0);
-    return result;
-  }
+  if (task_count == 0) return result;
 
   util::ThreadPool* pool = worker_pool();
   const std::size_t tile = tile_for(task_count, est_ops_per_task);
@@ -357,9 +371,7 @@ ExactStageResult ExactEngine::run_tasks(std::size_t task_count,
   result.activity.macs = totals.macs;
   result.activity.reg_accesses = totals.reg;
   result.cycles = sched.max_load();
-  if (profiler != nullptr) {
-    prof_record(pool == nullptr || tiles <= 1 ? 1 : tiles);
-  }
+  clock.set_tiles(pool == nullptr || tiles <= 1 ? 1 : tiles);
   return result;
 }
 
@@ -481,17 +493,14 @@ struct GtaKernel {
 /// GTW stage kernel: one task per (n, f, c) kernel slice, OH·K OSRC ops
 /// (zero dO rows schedule nothing).
 ///
-/// An op's MAC count is, per dO nonzero, the number of I nonzeros in a
-/// K-wide window of one input row — and every input row (n, c, iy) pairs
-/// with all F output channels. run_gtw therefore lowers each input row
-/// once per stage into a prefix-count row (`in_prefix`, in.w + 1 entries
-/// per row) and each op costs O(nnz_dO) table loads instead of a sweep
-/// over both rows; the PeCost sequence is identical.
+/// An op's cycles and ingested elements depend only on the dO row's chunk
+/// count and the I row's nonzero count (PeExact::osrc_cost), so every op
+/// is O(1). Its MACs feed nothing but the stage total, which run_gtw
+/// folds once after the tasks (gtw_stage_macs).
 struct GtwKernel {
   static constexpr const char* kStage = "gtw";
   const CompressedRows& go_rows;
   const CompressedRows& in_rows;
-  const std::uint16_t* in_prefix;
   const dataflow::ConvGeometry& geo;
   Shape out;
   Shape in;
@@ -518,13 +527,93 @@ struct GtwKernel {
       const auto [ky_lo, ky_hi, iy0] = valid_ky_range(oy, geo, in.h);
       const std::size_t r0 = in_base + iy0;
       for (std::size_t r = r0; r < r0 + (ky_hi - ky_lo); ++r) {
-        red.add(pe.run_osrc(in_prefix + r * (in.w + 1), in_rows.row(r).nnz(),
-                            go, b, wl, chunks));
+        red.add(pe.osrc_cost(in_rows.row(r).nnz(), chunks, wl));
       }
     }
     return red.end_task();
   }
 };
+
+/// The MAC total of a GTW stage, folded once instead of per OSRC op. Op
+/// (n, f, c, oy, iy) pairs dO row (n, f, oy) with I row (n, c, iy) and
+/// performs, per dO nonzero ox, one MAC per I nonzero in ox's window
+/// [ox·S − P, ox·S − P + K) clamped to [0, in.w). Summed over f and c,
+///
+///   MACs = Σ_n Σ_oy Σ_{iy ∈ rows(oy)} Σ_ox D_n[oy][ox] · W_n[iy][ox]
+///
+/// where D_n[oy][ox] counts the output channels with dO ≠ 0 at (oy, ox),
+/// W_n[iy][ox] counts the I nonzeros of row iy, over all input channels,
+/// in ox's window, and rows(oy) is valid_ky_range's interval. Each sample
+/// costs O(nnz) scatters plus a few passes over OH·OW and IH·IW tables,
+/// whatever the channel counts; the three tables are pooled arena
+/// buffers, so the fold allocates nothing in steady state. The u32
+/// running sums may wrap on huge layers, but every difference read off
+/// them is one op group's count (at most K·K·C), so unsigned arithmetic
+/// keeps it exact.
+std::size_t gtw_stage_macs(const CompressedRows& go_rows, const Shape& out,
+                           const CompressedRows& in_rows, const Shape& in,
+                           const dataflow::ConvGeometry& geo,
+                           std::vector<std::uint32_t>& go_count,
+                           std::vector<std::uint32_t>& in_count,
+                           std::vector<std::uint32_t>& window) {
+  const std::size_t ow = out.w;
+  const std::size_t iw1 = in.w + 1;  // in_count rows are prefix rows
+  const auto S = static_cast<std::int64_t>(geo.stride);
+  const auto P = static_cast<std::int64_t>(geo.padding);
+  const auto K = static_cast<std::int64_t>(geo.kernel);
+  const auto len = static_cast<std::int64_t>(in.w);
+  std::size_t macs = 0;
+  for (std::size_t n = 0; n < out.n; ++n) {
+    // D_n: output channels with a nonzero dO at each (oy, ox).
+    go_count.assign(out.h * ow, 0);
+    for (std::size_t f = 0; f < geo.out_channels; ++f) {
+      const std::size_t r0 = (n * out.c + f) * out.h;
+      for (std::size_t oy = 0; oy < out.h; ++oy) {
+        std::uint32_t* row = go_count.data() + oy * ow;
+        for (const std::uint32_t ox : go_rows.row(r0 + oy).offsets) ++row[ox];
+      }
+    }
+    // Per input row iy, the channel-summed nonzero count before each x
+    // (one mark past each nonzero, then a running sum).
+    in_count.assign(in.h * iw1, 0);
+    for (std::size_t c = 0; c < geo.in_channels; ++c) {
+      const std::size_t r0 = (n * in.c + c) * in.h;
+      for (std::size_t iy = 0; iy < in.h; ++iy) {
+        std::uint32_t* row = in_count.data() + iy * iw1;
+        for (const std::uint32_t x : in_rows.row(r0 + iy).offsets) {
+          ++row[x + 1];
+        }
+      }
+    }
+    // window[iy][ox] = Σ_{iy' < iy} W_n[iy'][ox], so a ky interval's sum
+    // is one difference of two rows.
+    window.resize((in.h + 1) * ow);
+    std::fill_n(window.begin(), ow, 0u);
+    for (std::size_t iy = 0; iy < in.h; ++iy) {
+      std::uint32_t* pre = in_count.data() + iy * iw1;
+      for (std::size_t x = 1; x < iw1; ++x) pre[x] += pre[x - 1];
+      const std::uint32_t* below = window.data() + iy * ow;
+      std::uint32_t* above = window.data() + (iy + 1) * ow;
+      for (std::size_t ox = 0; ox < ow; ++ox) {
+        const std::int64_t win_lo = static_cast<std::int64_t>(ox) * S - P;
+        const std::int64_t lo = std::clamp<std::int64_t>(win_lo, 0, len);
+        const std::int64_t hi = std::clamp<std::int64_t>(win_lo + K, 0, len);
+        above[ox] = below[ox] + pre[hi] - pre[lo];
+      }
+    }
+    for (std::size_t oy = 0; oy < out.h; ++oy) {
+      const auto [ky_lo, ky_hi, iy0] = valid_ky_range(oy, geo, in.h);
+      if (ky_hi == ky_lo) continue;
+      const std::uint32_t* d = go_count.data() + oy * ow;
+      const std::uint32_t* first = window.data() + iy0 * ow;
+      const std::uint32_t* last = window.data() + (iy0 + ky_hi - ky_lo) * ow;
+      for (std::size_t ox = 0; ox < ow; ++ox) {
+        macs += std::size_t{d[ox]} * (last[ox] - first[ox]);
+      }
+    }
+  }
+  return macs;
+}
 
 /// FC stage kernel: one task per (sample, lane group); every task streams
 /// the sample's compressed vector once into `lanes` accumulators (no
@@ -568,6 +657,7 @@ ExactStageResult ExactEngine::run_forward(
   // ForwardKernel). The lease outlives run_tasks (which takes its own
   // arena), so worker threads read a stable table; both arenas return to
   // the pool afterwards and steady-state stages stay allocation-free.
+  StageClock clock(opts_.profiler, ForwardKernel::kStage);
   ArenaLease lease = acquire_arena();
   std::vector<PeCost>& costs = lease.arena->src_costs;
   costs.resize(rows.rows());
@@ -580,7 +670,10 @@ ExactStageResult ExactEngine::run_forward(
       in_shape.n * geo.out_channels * out_shape.h;
   const ForwardKernel kernel{costs.data(), geo, in_shape, out_shape,
                              geo.kernel};
-  return run_tasks(task_count, geo.in_channels * geo.kernel, kernel);
+  const ExactStageResult result =
+      run_tasks(task_count, geo.in_channels * geo.kernel, kernel, clock);
+  clock.finish(result);
+  return result;
 }
 
 ExactStageResult ExactEngine::run_gta(const Tensor& grad_output,
@@ -600,10 +693,12 @@ ExactStageResult ExactEngine::run_gta(const RowSet& go_rows,
 
   // Pack every dO row into its nonzero bitset and lay out the all-pass
   // prefix (prefix[i] = i) that unmasked tasks read in place (see
-  // GtaKernel). As with GTW's prefix rows, the lease outlives run_tasks
-  // and the pooled buffers keep steady-state stages allocation-free.
+  // GtaKernel). As with forward's cost table, the lease outlives
+  // run_tasks and the pooled buffers keep steady-state stages
+  // allocation-free.
   ST_REQUIRE(go_rows.rows() == 0 || go_rows.row_length() == out.w,
              "GTA dO rows must have length out.w");
+  StageClock clock(opts_.profiler, GtaKernel::kStage);
   ArenaLease lease = acquire_arena();
   StageArena& arena = *lease.arena;
   const std::size_t words = dataflow::bit_words(out.w);
@@ -628,7 +723,10 @@ ExactStageResult ExactEngine::run_gta(const RowSet& go_rows,
                          prev_mask,
                          pe_.weight_load(b),
                          geo.kernel};
-  return run_tasks(task_count, geo.out_channels * geo.kernel, kernel);
+  const ExactStageResult result =
+      run_tasks(task_count, geo.out_channels * geo.kernel, kernel, clock);
+  clock.finish(result);
+  return result;
 }
 
 ExactStageResult ExactEngine::run_gtw(const Tensor& grad_output,
@@ -656,23 +754,25 @@ ExactStageResult ExactEngine::run_gtw(const RowSet& go_rows,
              : go_rows.nonempty_rows() * out.h * geo.kernel /
                    go_rows.rows());
 
-  // Lower every input row into its prefix-count row (see GtwKernel). As
-  // with forward's cost table, the lease outlives run_tasks and the
-  // pooled buffer keeps steady-state stages allocation-free.
   ST_REQUIRE(in_rows.rows() == 0 || in_rows.row_length() == in.w,
              "GTW input rows must have length in.w");
-  ArenaLease lease = acquire_arena();
-  std::vector<std::uint16_t>& prefix = lease.arena->osrc_prefix;
-  const std::size_t stride = in.w + 1;
-  prefix.resize(in_rows.rows() * stride);
-  for (std::size_t r = 0; r < in_rows.rows(); ++r) {
-    dataflow::osrc_count_prefix(in_rows.row(r), prefix.data() + r * stride);
-  }
+  ST_REQUIRE(go_rows.rows() == 0 || go_rows.row_length() == out.w,
+             "GTW dO rows must have length out.w");
+  StageClock clock(opts_.profiler, GtwKernel::kStage);
+  const GtwKernel kernel{go_rows, in_rows, geo, out, in,
+                         b,       pe_,     pe_.weight_load(b), geo.kernel};
+  ExactStageResult result = run_tasks(task_count, est_ops, kernel, clock);
 
-  const GtwKernel kernel{go_rows, in_rows, prefix.data(), geo,
-                         out,     in,      b,             pe_,
-                         pe_.weight_load(b), geo.kernel};
-  return run_tasks(task_count, est_ops, kernel);
+  // The kernel left every op's MACs at 0; fold the stage total once (see
+  // gtw_stage_macs). The lease is taken after run_tasks returned its own
+  // arena, so a serial engine's two stages reuse one pooled arena.
+  ArenaLease lease = acquire_arena();
+  StageArena& arena = *lease.arena;
+  result.activity.macs = gtw_stage_macs(go_rows, out, in_rows, in, geo,
+                                        arena.gtw_go_count,
+                                        arena.gtw_in_count, arena.gtw_window);
+  clock.finish(result);
+  return result;
 }
 
 ExactStageResult ExactEngine::run_fc(const Tensor& operands,
@@ -684,12 +784,15 @@ ExactStageResult ExactEngine::run_fc(const Tensor& operands,
   ST_REQUIRE(groups_per_sample > 0 && lanes > 0,
              "FC stage needs lane groups");
 
+  StageClock clock(opts_.profiler, FcKernel::kStage);
   const RowSet rows = compress(operands);
 
   const std::size_t task_count = s.n * groups_per_sample;
   const FcKernel kernel{rows, groups_per_sample, cfg_.timing.pipeline_drain,
                         lanes};
-  return run_tasks(task_count, 1, kernel);
+  const ExactStageResult result = run_tasks(task_count, 1, kernel, clock);
+  clock.finish(result);
+  return result;
 }
 
 }  // namespace sparsetrain::sim

@@ -31,13 +31,19 @@
 //    count ever changes any simulated number: results are byte-identical
 //    to the serial path for any ExactOptions.
 //
+// GTW costs every OSRC op in O(1): an op's cycles and ingested elements
+// depend only on the dO row's chunk count and the I row's nonzero count.
+// Its MACs never feed the group-round fold, so run_gtw sums the stage's
+// MAC total once after the tasks, from per-sample window-count tables
+// (integer sums: exact and order-free).
+//
 // The hot path is allocation-free in steady state: operand tensors live
 // in CompressedRows arenas, tasks read them through SparseRowView spans,
 // each worker thread reuses a scratch buffer (GTA's per-task mask prefix
 // and window-count planes), and the per-stage tables (forward's row
-// costs, GTA's dO bitsets and all-pass prefix, GTW's prefix-count rows),
-// cycle spans and scheduler arrays live in a pooled arena reused across
-// stages (tests/test_exact_alloc.cpp counts allocations).
+// costs, GTA's dO bitsets and all-pass prefix, GTW's per-sample MAC fold
+// tables), cycle spans and scheduler arrays live in a pooled arena
+// reused across stages (tests/test_exact_alloc.cpp counts allocations).
 // Whole networks run through sim::run_exact, which schedules independent
 // (layer, stage) units concurrently on the same pool — see
 // exact_network.hpp.
@@ -173,9 +179,11 @@ class ExactEngine {
     std::vector<std::size_t> loads;        ///< per-group schedule load
     std::vector<std::uint32_t> heap;       ///< d-ary heap of group ids
     std::vector<PeCost> src_costs;         ///< forward: per-input-row cost
-    std::vector<std::uint16_t> osrc_prefix;  ///< GTW: per-input-row counts
     std::vector<std::uint64_t> go_bits;      ///< GTA: per-dO-row bitsets
     std::vector<std::uint32_t> all_pass_prefix;  ///< GTA: prefix[i] = i
+    std::vector<std::uint32_t> gtw_go_count;  ///< GTW fold: D[oy][ox]
+    std::vector<std::uint32_t> gtw_in_count;  ///< GTW fold: I nonzeros/pos
+    std::vector<std::uint32_t> gtw_window;    ///< GTW fold: Σ_{iy'<iy} W
   };
 
   /// RAII lease of one arena from the engine's pool.
@@ -189,6 +197,9 @@ class ExactEngine {
     ~ArenaLease();
   };
 
+  /// Times one stage run for ExactOptions::profiler (defined in the .cpp).
+  class StageClock;
+
   ArenaLease acquire_arena() const;
   void release_arena(std::unique_ptr<StageArena> arena) const;
 
@@ -201,12 +212,13 @@ class ExactEngine {
   /// per-task cycle stream into the least-loaded-group scheduler in task
   /// order. Kernel is a statically-dispatched stage struct exposing
   /// `lanes` and `operator()(std::size_t, PeGroupReducer&) -> cycles`.
-  /// Byte-identical for any workers/tile_tasks. Defined in the .cpp
-  /// (every instantiation lives there).
+  /// Byte-identical for any workers/tile_tasks. Records the tiles used on
+  /// `clock`; the caller's clock spans its tables and folds too. Defined
+  /// in the .cpp (every instantiation lives there).
   template <typename Kernel>
   ExactStageResult run_tasks(std::size_t task_count,
                              std::size_t est_ops_per_task,
-                             const Kernel& kernel) const;
+                             const Kernel& kernel, StageClock& clock) const;
 
   ArchConfig cfg_;
   ExactOptions opts_;

@@ -119,28 +119,15 @@ class PeExact {
   }
 
   /// OSRC: dO nonzeros are cached in Reg-1 in chunks of K; every I nonzero
-  /// is streamed once per chunk. Counts by sweeping both rows — the
-  /// reference the GTW stage's prefix overload below must match.
+  /// is streamed once per chunk. Counts MACs by sweeping both rows — the
+  /// reference the GTW stage's closed-form MAC fold must match.
   PeCost run_osrc(SparseRowView input_acts, SparseRowView grad_out,
                   const isa::RowBlock& geo) const {
-    const dataflow::RowOpWork w =
-        dataflow::osrc_work(input_acts, grad_out, row_geometry(geo));
-    return osrc_cost(w, input_acts.nnz(), osrc_chunks(grad_out, geo),
-                     weight_load(geo));
-  }
-
-  /// OSRC against a prefix-count I row (dataflow::osrc_count_prefix over
-  /// an I row of length geo.second_len holding `input_nnz` nonzeros), with
-  /// the weight load and the dO chunk count precomputed. The GTW stage
-  /// builds the prefix rows once per stage and reuses the chunk count
-  /// across every kernel tap the same dO row pairs with. Costs are
-  /// identical to the row-pair overload for the same I row.
-  PeCost run_osrc(const std::uint16_t* input_prefix, std::size_t input_nnz,
-                  SparseRowView grad_out, const isa::RowBlock& geo,
-                  std::size_t wl, std::size_t chunks) const {
-    const dataflow::RowOpWork w = dataflow::osrc_work(
-        input_prefix, geo.second_len, grad_out, row_geometry(geo));
-    return osrc_cost(w, input_nnz, chunks, wl);
+    PeCost cost = osrc_cost(input_acts.nnz(), osrc_chunks(grad_out, geo),
+                            weight_load(geo));
+    cost.macs =
+        dataflow::osrc_work(input_acts, grad_out, row_geometry(geo)).macs;
+    return cost;
   }
 
   /// Reg-1 chunk reloads of an OSRC op: ceil(nnz_dO / K), 0 for an
@@ -151,19 +138,21 @@ class PeExact {
                             : (grad_out.nnz() + geo.kernel - 1) / geo.kernel;
   }
 
- private:
-  /// The one OSRC cost formula: each of the `chunks` dO chunks cached in
-  /// Reg-1 reloads the weights and streams every I nonzero once past the
-  /// scratchpad.
-  PeCost osrc_cost(const dataflow::RowOpWork& w, std::size_t input_nnz,
-                   std::size_t chunks, std::size_t wl) const {
+  /// The one OSRC timing formula: each of the `chunks` dO chunks cached
+  /// in Reg-1 reloads the weights and streams every one of the I row's
+  /// `input_nnz` nonzeros once past the scratchpad. The cycles never
+  /// depend on which positions line up inside a window, so they need
+  /// only the two counts; `macs` is left 0. The GTW stage costs every op
+  /// this way in O(1) and sums the stage's MACs once, in closed form.
+  PeCost osrc_cost(std::size_t input_nnz, std::size_t chunks,
+                   std::size_t wl) const {
     PeCost cost;
-    cost.macs = w.macs;
     cost.ingested = chunks * input_nnz;
     cost.cycles = chunks * (wl + input_nnz) + timing_.pipeline_drain;
     return cost;
   }
 
+ private:
   static dataflow::RowGeometry row_geometry(const isa::RowBlock& block) {
     dataflow::RowGeometry geo;
     geo.kernel = block.kernel;

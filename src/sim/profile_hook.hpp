@@ -20,8 +20,10 @@ class ExactProfiler {
   virtual ~ExactProfiler() = default;
 
   /// One engine stage finished. `seconds` is wall time for the whole
-  /// stage (all tasks, all tiles), `tiles` is the number of parallel
-  /// tiles actually used (1 for the serial path, 0 for an empty stage).
+  /// stage run: its per-stage tables (forward's cost table, GTA's dO
+  /// bitsets, FC's operand compression), all tasks and tiles, and GTW's
+  /// MAC fold. `tiles` is the number of parallel tiles actually used (1
+  /// for the serial path, 0 for an empty stage).
   virtual void record_stage(const char* stage, double seconds,
                             std::uint64_t tasks, std::uint64_t row_ops,
                             std::uint64_t tiles) noexcept = 0;

@@ -91,6 +91,58 @@ ExactStageResult naive_gta(const ArchConfig& cfg, const Tensor& grad,
   return r;
 }
 
+/// The GTW stage folded naively: every task's OSRC ops costed one by one
+/// through the two-pointer sweep reference PeExact::run_osrc (MACs
+/// included), folded by PeGroupReducer, and each task assigned to the
+/// least-loaded group (lowest id on ties). Zero dO rows schedule nothing.
+ExactStageResult naive_gtw(const ArchConfig& cfg, const Tensor& grad,
+                           const Tensor& input,
+                           const dataflow::ConvGeometry& geo) {
+  const Shape out = grad.shape();
+  const Shape in = input.shape();
+  isa::RowBlock b;
+  b.kind = isa::RowOpKind::OSRC;
+  b.in_len = out.w;
+  b.out_len = geo.kernel;
+  b.second_len = in.w;
+  b.kernel = static_cast<std::uint32_t>(geo.kernel);
+  b.stride = static_cast<std::uint32_t>(geo.stride);
+  b.padding = static_cast<std::uint32_t>(geo.padding);
+  const PeExact pe(cfg.timing);
+  PeGroupReducer red(cfg.pes_per_group, geo.kernel);
+  std::vector<std::size_t> loads(cfg.pe_groups, 0);
+  ExactStageResult r;
+  for (std::size_t n = 0; n < out.n; ++n) {
+    for (std::size_t f = 0; f < geo.out_channels; ++f) {
+      for (std::size_t c = 0; c < geo.in_channels; ++c) {
+        red.begin_task();
+        for (std::size_t oy = 0; oy < out.h; ++oy) {
+          const SparseRow go = compress_row(grad.row(n, f, oy));
+          if (go.empty()) continue;
+          for (std::size_t ky = 0; ky < geo.kernel; ++ky) {
+            const std::int64_t iy =
+                static_cast<std::int64_t>(oy * geo.stride + ky) -
+                static_cast<std::int64_t>(geo.padding);
+            if (iy < 0 || iy >= static_cast<std::int64_t>(in.h)) continue;
+            red.add(pe.run_osrc(
+                compress_row(input.row(n, c, static_cast<std::size_t>(iy))),
+                go, b));
+          }
+        }
+        const std::size_t cycles = red.end_task();
+        *std::min_element(loads.begin(), loads.end()) += cycles;
+        ++r.tasks;
+      }
+    }
+  }
+  r.cycles = *std::max_element(loads.begin(), loads.end());
+  r.row_ops = red.row_ops();
+  r.activity.busy_cycles = red.busy();
+  r.activity.macs = red.macs();
+  r.activity.reg_accesses = red.reg();
+  return r;
+}
+
 void expect_identical(const ExactStageResult& a, const ExactStageResult& b) {
   EXPECT_EQ(a.cycles, b.cycles);
   EXPECT_EQ(a.row_ops, b.row_ops);
@@ -193,6 +245,109 @@ TEST(ExactEngine, GtaOnMultiWordRowsMatchesNaiveBitMaskFold) {
     expect_identical(masked, naive_gta(cfg, grad, in_shape, &mask, geo));
     expect_identical(all_pass, naive_gta(cfg, grad, in_shape, nullptr, geo));
   }
+}
+
+TEST(ExactEngine, GtwMatchesNaiveSweepFold) {
+  // The GTW stage costs ops from nonzero counts and folds its MACs once
+  // per stage; both must equal the per-op sweep fold exactly. Inputs:
+  // batches of 2–3, K from 1 to 11, stride beyond K, P == K, padding
+  // beyond K, K = 64 with P = 32, rows of 1024+ positions, one-wide and
+  // zero-wide rows,
+  // densities 0–1, and in every draw whole I and dO rows zeroed.
+  ArchConfig cfg;
+  cfg.pe_groups = 5;
+  const ExactEngine serial(cfg);
+  ExactOptions opts;
+  opts.workers = 3;
+  const ExactEngine parallel(cfg, opts);
+  struct Case {
+    std::size_t n, c, f, k, s, p, h, w;
+    double in_density, go_density;
+  };
+  const Case cases[] = {
+      {2, 3, 4, 3, 1, 1, 9, 9, 0.4, 0.3},     // the common 3×3 layer
+      {2, 2, 3, 3, 5, 1, 17, 23, 0.5, 0.5},   // stride beyond K
+      {2, 2, 2, 3, 1, 3, 12, 10, 0.4, 0.4},   // P == K
+      {3, 2, 2, 5, 2, 5, 11, 13, 0.6, 0.3},   // P == K, strided
+      {2, 2, 2, 7, 1, 9, 5, 20, 0.5, 0.5},    // padding beyond K
+      {2, 2, 2, 64, 1, 32, 3, 100, 0.3, 0.2},  // K = 64, P = 32
+      {2, 2, 2, 1, 4, 0, 8, 15, 0.5, 0.5},    // K = 1, stride 4
+      {2, 2, 2, 11, 3, 11, 14, 30, 0.4, 0.3},  // K = 11, P == K, strided
+      {2, 2, 2, 3, 1, 1, 3, 1030, 0.2, 0.1},  // wide rows
+      {2, 2, 3, 5, 3, 2, 4, 1100, 0.5, 0.4},  // wide, strided
+      {2, 2, 2, 3, 1, 0, 4, 3, 0.7, 0.7},     // one-wide dO rows
+      {2, 3, 2, 3, 1, 1, 6, 8, 0.0, 0.5},     // all-zero I
+      {2, 3, 2, 3, 1, 1, 6, 8, 0.5, 0.0},     // all-zero dO
+      {2, 3, 2, 3, 2, 1, 7, 9, 1.0, 1.0},     // dense
+  };
+  std::uint64_t seed = 71;
+  for (const Case& k : cases) {
+    auto geo = geo_3x3(k.c, k.f);
+    geo.kernel = k.k;
+    geo.stride = k.s;
+    geo.padding = k.p;
+    SCOPED_TRACE(::testing::Message()
+                 << "K=" << k.k << " S=" << k.s << " P=" << k.p
+                 << " in=" << k.h << "x" << k.w << " d=" << k.in_density
+                 << "/" << k.go_density);
+    Rng rng(++seed);
+    Tensor input(Shape{k.n, k.c, k.h, k.w});
+    input.fill_sparse_normal(rng, k.in_density);
+    Tensor grad(dataflow::conv_output_shape(geo, input.shape()));
+    grad.fill_sparse_normal(rng, k.go_density);
+    // Whole zero rows on both sides: I rows a task pairs with nothing,
+    // and dO rows that schedule no op at all.
+    for (std::size_t n = 0; n < k.n; ++n) {
+      for (std::size_t c = 0; c < k.c; ++c) {
+        for (std::size_t y = (n + c) % 3; y < k.h; y += 3) {
+          for (float& v : input.row(n, c, y)) v = 0.0f;
+        }
+      }
+      for (std::size_t f = 0; f < k.f; ++f) {
+        for (std::size_t y = (n + f) % 4; y < grad.shape().h; y += 4) {
+          for (float& v : grad.row(n, f, y)) v = 0.0f;
+        }
+      }
+    }
+    const ExactStageResult want = naive_gtw(cfg, grad, input, geo);
+    if (k.in_density > 0.0 && k.go_density > 0.0) {
+      EXPECT_GT(want.activity.macs, 0u);
+    }
+    expect_identical(serial.run_gtw(grad, input, geo), want);
+    expect_identical(parallel.run_gtw(grad, input, geo), want);
+  }
+
+  // Zero-wide rows on either side (Tensor rows cannot be zero-wide, so
+  // the row sets are built directly). A zero-wide dO schedules nothing;
+  // a zero-wide I row streams no nonzero, so every op costs what it
+  // costs against an all-zero I row of any width, with no MACs.
+  const auto geo = geo_3x3(2, 3);
+  Rng rng(97);
+  Tensor input(Shape{2, 2, 5, 6});
+  input.fill_sparse_normal(rng, 0.5);
+  Tensor grad(Shape{2, 3, 5, 6});
+  grad.fill_sparse_normal(rng, 0.5);
+  const auto zero_wide = [](const Shape& s) {
+    CompressedRows rows;
+    const std::vector<std::uint32_t> counts(s.n * s.c * s.h, 0);
+    rows.start(0, counts);
+    return rows;
+  };
+  const Shape no_cols_go{2, 3, 5, 0};
+  const Shape no_cols_in{2, 2, 5, 0};
+  const auto zero_go = serial.run_gtw(zero_wide(no_cols_go), no_cols_go,
+                                      serial.compress(input), input.shape(),
+                                      geo);
+  EXPECT_EQ(zero_go.row_ops, 0u);
+  expect_identical(zero_go,
+                   naive_gtw(cfg, Tensor(grad.shape()), input, geo));
+  const auto zero_in =
+      serial.run_gtw(serial.compress(grad), grad.shape(),
+                     zero_wide(no_cols_in), no_cols_in, geo);
+  EXPECT_GT(zero_in.row_ops, 0u);
+  EXPECT_EQ(zero_in.activity.macs, 0u);
+  expect_identical(zero_in,
+                   naive_gtw(cfg, grad, Tensor(input.shape()), geo));
 }
 
 TEST(ExactEngine, MoreGroupsShortenMakespan) {

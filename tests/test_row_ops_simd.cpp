@@ -1,11 +1,11 @@
-// Edge-case coverage for the row-op work counters, their prefix-table
-// and window-count-plane fast paths, and the BitMask window primitives.
+// Edge-case coverage for the row-op work counters, the MSRC
+// window-count-plane fast path, and the BitMask window primitives.
 //
 // Two layers of defense:
 //   1. Naive-reference checks — the per-tap loop nobody optimized is the
 //      ground truth for the O(1) congruence / popcount-window formulas,
-//      and the sweep and BitMask counters are the ground truth for the
-//      prefix and plane fast paths. Exhaustive over every small geometry,
+//      and the BitMask counter is the ground truth for the plane fast
+//      path. Exhaustive over every small geometry,
 //      then randomized rows, plus wide shapes: K = 64 with P = 32,
 //      padding beyond the kernel, out_len 0, and rows up to 1024 long.
 //   2. Boundary cases called out by inspection: windows ending exactly
@@ -255,13 +255,6 @@ TEST(MsrcWork, ClampAgreesWithRowConvMacCount) {
   });
 }
 
-/// osrc_count_prefix into a fresh buffer of input.length + 1 entries.
-std::vector<std::uint16_t> count_prefix(SparseRowView input) {
-  std::vector<std::uint16_t> prefix(std::size_t{input.length} + 1);
-  osrc_count_prefix(input, prefix.data());
-  return prefix;
-}
-
 bool costs_equal(const sim::PeCost& a, const sim::PeCost& b) {
   return a.cycles == b.cycles && a.macs == b.macs && a.ingested == b.ingested;
 }
@@ -340,88 +333,6 @@ TEST(MsrcWork, PlanesMatchBitMask) {
             if (HasFatalFailure()) return;
           }
         }
-      }
-    }
-  }
-}
-
-TEST(OsrcWork, PrefixOverloadMatchesSweep) {
-  // The GTW stage's prefix-count fast path must count exactly what the
-  // two-pointer sweep counts — as a work counter and as a PeCost — for
-  // empty and dense rows and for windows clamped at either end of I.
-  Rng rng(0x05c7U);
-  const sim::PeExact pe;
-  const double densities[] = {0.0, 0.05, 0.3, 0.7, 1.0};
-  const auto check = [&](const SparseRow& input, const SparseRow& grad,
-                         const RowGeometry& geo) {
-    const std::vector<std::uint16_t> prefix = count_prefix(input);
-    ASSERT_TRUE(works_equal(osrc_work(prefix.data(), input.length, grad, geo),
-                            osrc_work(input, grad, geo)))
-        << "K=" << geo.kernel << " S=" << geo.stride << " P=" << geo.padding
-        << " in=" << input.length << " go=" << grad.length;
-
-    isa::RowBlock b;
-    b.kind = isa::RowOpKind::OSRC;
-    b.kernel = geo.kernel;
-    b.stride = geo.stride;
-    b.padding = geo.padding;
-    b.second_len = input.length;
-    ASSERT_TRUE(costs_equal(
-        pe.run_osrc(prefix.data(), input.nnz(), grad, b, pe.weight_load(b),
-                    sim::PeExact::osrc_chunks(grad, b)),
-        pe.run_osrc(input, grad, b)))
-        << "PeCost K=" << geo.kernel << " S=" << geo.stride
-        << " P=" << geo.padding;
-  };
-  std::size_t cases = 0;
-  for (const std::uint32_t K : {1u, 3u, 5u, 11u}) {
-    for (std::uint32_t S = 1; S <= 4; ++S) {
-      for (std::uint32_t P = 0; P <= K; ++P) {
-        for (int iter = 0; iter < 12; ++iter) {
-          const auto in_len =
-              static_cast<std::uint32_t>(1 + rng.uniform_index(120));
-          const auto go_len =
-              static_cast<std::uint32_t>(1 + rng.uniform_index(60));
-          const SparseRow input =
-              random_row(rng, in_len, densities[rng.uniform_index(5)]);
-          const SparseRow grad =
-              random_row(rng, go_len, densities[rng.uniform_index(5)]);
-          check(input, grad, RowGeometry{K, S, P});
-          if (HasFatalFailure()) return;
-          ++cases;
-        }
-      }
-    }
-  }
-  EXPECT_GT(cases, 1000u);
-  // The wide shapes pair each I row with a dO row of out_len positions.
-  for_each_wide_shape(rng, [&](const RowGeometry& geo, const SparseRow& row,
-                               std::size_t out_len) {
-    const SparseRow grad = random_row(
-        rng, static_cast<std::uint32_t>(std::max<std::size_t>(1, out_len)),
-        densities[rng.uniform_index(5)]);
-    check(row, grad, geo);
-  });
-}
-
-TEST(OsrcWork, PrefixCountsAreExactPastTheU16Wrap) {
-  // Rows wider than 2^16 wrap the u16 prefix entries (a dense row's
-  // entry x is x mod 2^16); window differences must stay exact there —
-  // the engine's own stages never reach this width.
-  Rng rng(0x1e16U);
-  for (const double d : {1.0, 0.9, 0.5}) {
-    const std::uint32_t in_len = 70001;
-    const SparseRow input = random_row(rng, in_len, d);
-    const std::vector<std::uint16_t> prefix = count_prefix(input);
-    EXPECT_EQ(prefix[in_len], static_cast<std::uint16_t>(input.nnz()));
-    for (const std::uint32_t K : {3u, 11u}) {
-      for (const std::uint32_t S : {1u, 2u}) {
-        const RowGeometry geo{K, S, K / 2};
-        const SparseRow grad = random_row(rng, in_len / S + 1, 0.2);
-        const RowOpWork got = osrc_work(prefix.data(), in_len, grad, geo);
-        ASSERT_TRUE(works_equal(got, osrc_work(input, grad, geo)))
-            << "d=" << d << " K=" << K << " S=" << S;
-        EXPECT_GT(got.macs, 0u);
       }
     }
   }
